@@ -45,13 +45,20 @@ class CongestNetwork:
 
 @dataclass
 class CongestTranscript:
-    """Per round, per directed edge, the bit string sent."""
+    """Per round, per directed edge, the bit string sent; and `steps`, the
+    number of node steps the driver ran."""
 
     rounds: list[dict[tuple[int, int], str]] = field(default_factory=list)
+    steps: int = 0
 
     @property
     def total_rounds(self) -> int:
         return len(self.rounds)
+
+    @property
+    def idle_rounds(self) -> int:
+        """Rounds in which no node sent bits; each one advances the frame."""
+        return sum(1 for rnd in self.rounds if not rnd)
 
     def max_bits(self) -> int:
         return max(
@@ -94,39 +101,66 @@ def message_size_audit(
 def run_congest(
     network: CongestNetwork, programs: dict[int, object], max_rounds: int
 ) -> CongestTranscript:
-    """Lock-step execution: every node steps, all messages deliver together.
+    """Synchronous rounds: the bits sent in round r are delivered together at
+    the start of round r + 1.
 
-    A program exposes `done`, `step(round_index, inbox) -> {neighbor: bits}`,
-    and optionally `on_idle()`, which the driver invokes after any round in
-    which no node sent bits (a global quiescence signal; programs use it to
-    advance their time-frame counters).
+    A program exposes `done`; `busy`, true while its last step left output
+    queued; `release_frames`, fixed at construction, the frames at which it
+    holds work to start; and `step(frame, inbox) -> {neighbor: bits}`.
+
+    The driver owns the frame: the number of rounds so far in which no node
+    sent bits (a global quiescence signal; time-frame schedules advance on
+    it). Every program steps in round 0. After that a program steps only in
+    a round in which it has mail, is `busy`, or the frame has just reached
+    one of its release frames; a step in any other round would send nothing
+    and change nothing. Stepped programs run in the order of `programs`, so
+    each round's record lists its edges as stepping every node would.
     """
     budget = network.bits_per_edge_per_round
+    has_edge = network.graph.has_edge
     transcript = CongestTranscript()
-    inbox: dict[int, dict[int, str]] = defaultdict(dict)
+    position = {v: i for i, v in enumerate(programs)}
+    releases: dict[int, list[int]] = defaultdict(list)
+    for v, prog in programs.items():
+        for f in prog.release_frames:
+            releases[f].append(v)
+    done = {v: prog.done for v, prog in programs.items()}
+    pending = sum(1 for d in done.values() if not d)
+    frame = 0
+    inbox: dict[int, dict[int, str]] = {}
+    wake: set[int] = set(programs)  # nodes due to step without mail
+    empty: dict[int, str] = {}
     for r in range(max_rounds):
-        if not inbox and all(p.done for p in programs.values()):
+        if not inbox and not pending:
             return transcript
-        delivered, inbox = inbox, defaultdict(dict)
+        delivered, inbox = inbox, {}
+        wake.update(delivered)
+        order = sorted(wake, key=position.__getitem__)
+        wake = set()
         record: dict[tuple[int, int], str] = {}
-        for v, prog in programs.items():
-            out = prog.step(r, delivered.get(v, {}))
+        for v in order:
+            prog = programs[v]
+            out = prog.step(frame, delivered.get(v, empty))
+            if prog.busy:
+                wake.add(v)
+            if prog.done != done[v]:
+                done[v] = not done[v]
+                pending += -1 if done[v] else 1
             for u, bits in out.items():
                 if not bits:
                     continue
-                if not network.graph.has_edge(v, u):
+                if not has_edge(v, u):
                     raise ValueError(f"node {v} sent on non-edge ({v},{u})")
                 if len(bits) > budget:
                     raise BudgetViolation(r, (v, u), len(bits), budget)
                 record[(v, u)] = bits
-                inbox[u][v] = bits
+                inbox.setdefault(u, {})[v] = bits
+        transcript.steps += len(order)
         transcript.rounds.append(record)
         if not record:
-            for prog in programs.values():
-                idle = getattr(prog, "on_idle", None)
-                if idle is not None:
-                    idle()
-    if inbox or not all(p.done for p in programs.values()):
+            frame += 1
+            wake.update(releases.get(frame, ()))
+    if inbox or pending:
         raise RoundLimitError(f"no convergence within {max_rounds} rounds")
     return transcript
 
@@ -199,50 +233,63 @@ def _local_views(instance):
     return views
 
 
-def _edge_trees(view, nbr):
-    """Tree ids using the edge to `nbr`, in ascending order; identical at
-    both endpoints, so it indexes message tags."""
-    return sorted(
-        tid for tid, (parent, children) in view.items()
-        if parent == nbr or nbr in children
-    )
+def _edge_trees(view) -> dict[int, list[int]]:
+    """Per neighbor, the ids of the trees using the edge to it, in ascending
+    order: identical at both endpoints, so a tree's position in the list is
+    its message tag on that edge."""
+    trees = defaultdict(list)
+    for tid, (parent, children) in view.items():
+        if parent is not None:
+            trees[parent].append(tid)
+        for c in children:
+            trees[c].append(tid)
+    for tids in trees.values():
+        tids.sort()
+    return trees
 
 
 class _PhaseProgram:
     """Common plumbing: per-neighbor message queues drained under the bit
-    budget, and a frame counter advanced on idle rounds."""
+    budget, and work held until the frame reaches its tree's offset X_T."""
 
-    def __init__(self, node, view, params, offsets):
+    def __init__(self, node, view, edges, params, offsets):
         self.node = node
         self.view = view
+        self.trees_on_edge = edges  # neighbor -> tree ids, shared by the phases
         self.params = params
         self.offsets = offsets
-        self.frame = 0
         self.queues: dict[int, deque[str]] = defaultdict(deque)
-        self.edge_list = {}  # neighbor -> sorted tree ids on that edge
+        self.busy = False
+        self.held: dict[int, list] = defaultdict(list)  # release frame -> work
 
-    def trees_on_edge(self, nbr):
-        if nbr not in self.edge_list:
-            self.edge_list[nbr] = _edge_trees(self.view, nbr)
-        return self.edge_list[nbr]
+    def hold(self, tid, work):
+        self.held[self.offsets[tid]].append(work)
 
-    def on_idle(self):
-        self.frame += 1
+    @property
+    def release_frames(self):
+        return self.held.keys()
 
-    def queues_empty(self) -> bool:
-        return all(not q for q in self.queues.values())
+    def release(self, frame) -> list:
+        """The held work due at `frame`; the driver steps this program in the
+        round in which the frame reaches each of its release frames."""
+        return self.held.pop(frame, [])
 
     def drain(self) -> dict[int, str]:
         out = {}
+        budget = self.params.budget
+        busy = False
         for nbr, q in self.queues.items():
             payload = []
             used = 0
-            while q and used + len(q[0]) <= self.params.budget:
+            while q and used + len(q[0]) <= budget:
                 msg = q.popleft()
                 payload.append(msg)
                 used += len(msg)
             if payload:
                 out[nbr] = "".join(payload)
+            if q:
+                busy = True
+        self.busy = busy
         return out
 
 
@@ -251,39 +298,38 @@ class _RankProgram(_PhaseProgram):
     reached; internal nodes report to their parent as soon as every child has.
     Each message carries (rank, edge-tree index[, height])."""
 
-    def __init__(self, node, view, params, offsets):
-        super().__init__(node, view, params, offsets)
-        self.waiting = {}  # tid -> set of children still silent
+    def __init__(self, node, view, edges, params, offsets):
+        super().__init__(node, view, edges, params, offsets)
+        self.waiting = {}  # tid -> number of children still silent
         self.child_rank = defaultdict(dict)  # tid -> {child: rank}
         self.child_height = defaultdict(dict)  # tid -> {child: height}
         self.rank = {}  # tid -> own rank
         self.height = {}  # tid -> own height
-        self.to_send = set()  # non-root tids whose report is not yet queued
         self.root_waiting = set()
         for tid, (parent, children) in view.items():
             if children:
-                self.waiting[tid] = set(children)
+                self.waiting[tid] = len(children)
                 if parent is None:
                     self.root_waiting.add(tid)
             else:
                 self.rank[tid] = 0
                 self.height[tid] = 0
-                self.to_send.add(tid)
+                self.hold(tid, tid)
 
     def _msg(self, tid, parent) -> str:
-        idx = self.trees_on_edge(parent).index(tid)
         bits = _bits(self.rank[tid], self.params.rank_bits) + _bits(
-            idx, self.params.idx_bits
+            self.trees_on_edge[parent].index(tid), self.params.idx_bits
         )
         if self.params.include_height:
             bits += _bits(self.height[tid], self.params.height_bits)
         return bits
 
-    def step(self, r, inbox):
+    def step(self, frame, inbox):
         p = self.params
         width = p.rank_bits + p.idx_bits + (p.height_bits if p.include_height else 0)
+        ready = self.release(frame)  # leaves whose tree starts now
         for nbr, payload in inbox.items():
-            trees = self.trees_on_edge(nbr)
+            trees = self.trees_on_edge[nbr]
             for i in range(0, len(payload), width):
                 msg = payload[i : i + width]
                 rank = int(msg[: p.rank_bits], 2)
@@ -294,7 +340,7 @@ class _RankProgram(_PhaseProgram):
                     self.child_height[tid][nbr] = int(
                         msg[p.rank_bits + p.idx_bits :], 2
                     )
-                self.waiting[tid].discard(nbr)
+                self.waiting[tid] -= 1
                 if not self.waiting[tid]:
                     ranks = list(self.child_rank[tid].values())
                     top = max(ranks)
@@ -302,37 +348,27 @@ class _RankProgram(_PhaseProgram):
                     if p.include_height:
                         self.height[tid] = 1 + max(self.child_height[tid].values())
                     if self.view[tid][0] is not None:
-                        self.to_send.add(tid)
+                        ready.append(tid)
                     else:
                         self.root_waiting.discard(tid)
-        self._flush_ready()
+        for tid in sorted(ready):
+            parent = self.view[tid][0]
+            self.queues[parent].append(self._msg(tid, parent))
         return self.drain()
-
-    def _flush_ready(self):
-        ready = []
-        for tid in sorted(self.to_send):
-            parent, children = self.view[tid]
-            if not children and self.frame < self.offsets[tid]:
-                continue  # leaves hold back until their tree's start frame
-            ready.append(tid)
-        for tid in ready:
-            self.to_send.discard(tid)
-            self.queues[self.view[tid][0]].append(self._msg(tid, self.view[tid][0]))
 
     @property
     def done(self) -> bool:
-        return not self.to_send and not self.root_waiting and self.queues_empty()
+        return not self.held and not self.root_waiting and not self.busy
 
 
 class _PreferredProgram(_PhaseProgram):
     """Downward notification, one tagged bit per (tree, child): whether the
     child's edge is the parent's preferred (highest-rank) edge."""
 
-    def __init__(self, node, view, params, offsets, rank_state: _RankProgram):
-        super().__init__(node, view, params, offsets)
+    def __init__(self, node, view, edges, params, offsets, rank_state: _RankProgram):
+        super().__init__(node, view, edges, params, offsets)
         self.preferred = {}
-        self.to_send = []  # (tid, child, bit)
-        self.expect = set()  # tids whose own parent-edge bit is pending
+        self.expect = 0  # parent-edge bits still to arrive
         self.preferred_edge = {}  # tid -> own parent edge preferred?
         for tid, (parent, children) in view.items():
             if children:
@@ -340,48 +376,44 @@ class _PreferredProgram(_PhaseProgram):
                 best = max(children, key=lambda c: (ranks[c], -c))
                 self.preferred[tid] = best
                 for c in children:
-                    self.to_send.append((tid, c, 1 if c == best else 0))
+                    self.hold(tid, (tid, c, 1 if c == best else 0))
             if parent is not None:
-                self.expect.add(tid)
+                self.expect += 1
 
-    def step(self, r, inbox):
+    def step(self, frame, inbox):
         p = self.params
         width = p.idx_bits + 1
         for nbr, payload in inbox.items():
-            trees = self.trees_on_edge(nbr)
+            trees = self.trees_on_edge[nbr]
             for i in range(0, len(payload), width):
                 msg = payload[i : i + width]
                 tid = trees[int(msg[: p.idx_bits], 2)]
                 self.preferred_edge[tid] = msg[p.idx_bits] == "1"
-                self.expect.discard(tid)
-        held = []
-        for tid, child, bit in sorted(self.to_send):
-            if self.frame < self.offsets[tid]:
-                held.append((tid, child, bit))
-                continue
-            idx = self.trees_on_edge(child).index(tid)
+                self.expect -= 1
+        for tid, child, bit in sorted(self.release(frame)):
+            idx = self.trees_on_edge[child].index(tid)
             self.queues[child].append(_bits(idx, p.idx_bits) + str(bit))
-        self.to_send = held
         return self.drain()
 
     @property
     def done(self) -> bool:
-        return not self.to_send and not self.expect and self.queues_empty()
+        return not self.held and not self.expect and not self.busy
 
 
 class _RefineProgram(_PhaseProgram):
     """Top-down chunk refinement: a counter walks down each preferred chain
     and wraps modulo the chunk length; light edges restart it at zero."""
 
-    def __init__(self, node, view, params, offsets, preferred: dict[int, int]):
-        super().__init__(node, view, params, offsets)
+    def __init__(self, node, view, edges, params, offsets, preferred: dict[int, int]):
+        super().__init__(node, view, edges, params, offsets)
         self.preferred = preferred  # tid -> preferred child at this node
         self.counter = {}  # tid -> position mod chunk_length of own parent edge
-        self.expect = {tid for tid, (p, _) in view.items() if p is not None}
-        self.to_start = [
-            tid for tid, (parent, children) in view.items()
-            if parent is None and children
-        ]
+        self.expect = 0  # parent-edge counters still to arrive
+        for tid, (parent, children) in view.items():
+            if parent is not None:
+                self.expect += 1
+            elif children:
+                self.hold(tid, tid)
 
     def _emit(self, tid, own_counter):
         p = self.params
@@ -391,33 +423,28 @@ class _RefineProgram(_PhaseProgram):
                 val = (own_counter + 1) % p.chunk_length
             else:
                 val = 0
-            idx = self.trees_on_edge(c).index(tid)
+            idx = self.trees_on_edge[c].index(tid)
             self.queues[c].append(_bits(idx, p.idx_bits) + _bits(val, p.counter_bits))
 
-    def step(self, r, inbox):
+    def step(self, frame, inbox):
         p = self.params
         width = p.idx_bits + p.counter_bits
         for nbr, payload in inbox.items():
-            trees = self.trees_on_edge(nbr)
+            trees = self.trees_on_edge[nbr]
             for i in range(0, len(payload), width):
                 msg = payload[i : i + width]
                 tid = trees[int(msg[: p.idx_bits], 2)]
                 val = int(msg[p.idx_bits :], 2)
                 self.counter[tid] = val
-                self.expect.discard(tid)
+                self.expect -= 1
                 self._emit(tid, val)
-        started = []
-        for tid in self.to_start:
-            if self.frame >= self.offsets[tid]:
-                self._emit(tid, None)
-                started.append(tid)
-        for tid in started:
-            self.to_start.remove(tid)
+        for tid in self.release(frame):  # roots whose tree starts now
+            self._emit(tid, None)
         return self.drain()
 
     @property
     def done(self) -> bool:
-        return not self.to_start and not self.expect and self.queues_empty()
+        return not self.held and not self.expect and not self.busy
 
 
 @dataclass
@@ -471,20 +498,24 @@ def distributed_rank_decomposition(
         max_rounds = 256 + 64 * (params.congestion + params.dilation)
 
     nodes = sorted(set(views) | set(range(instance.graph.node_count)))
+    edges = {v: _edge_trees(views.get(v, {})) for v in nodes}
     rank_progs = {
-        v: _RankProgram(v, views.get(v, {}), params, offsets) for v in nodes
+        v: _RankProgram(v, views.get(v, {}), edges[v], params, offsets)
+        for v in nodes
     }
     t1 = run_congest(network, rank_progs, max_rounds)
 
     pref_progs = {
-        v: _PreferredProgram(v, views.get(v, {}), params, offsets, rank_progs[v])
+        v: _PreferredProgram(
+            v, views.get(v, {}), edges[v], params, offsets, rank_progs[v]
+        )
         for v in nodes
     }
     t2 = run_congest(network, pref_progs, max_rounds)
 
     refine_progs = {
         v: _RefineProgram(
-            v, views.get(v, {}), params, offsets, pref_progs[v].preferred
+            v, views.get(v, {}), edges[v], params, offsets, pref_progs[v].preferred
         )
         for v in nodes
     }

@@ -1,15 +1,19 @@
 import math
+from collections import defaultdict
 
 import pytest
 
+import mcastsched.congest as congest_module
 from mcastsched import (
     BudgetViolation,
     CongestNetwork,
+    CongestTranscript,
     Graph,
     MulticastInstance,
     MulticastTree,
     RoundLimitError,
     compute_metrics,
+    decomposition_to_json,
     distributed_multicast,
     distributed_rank_decomposition,
     gen_layered_instance,
@@ -27,8 +31,49 @@ from mcastsched import (
 
 # --- driver ----------------------------------------------------------------
 
+def lockstep_run_congest(network, programs, max_rounds):
+    """Reference for `run_congest`: the lock-step driver it replaced. Every
+    node steps in every round; the frame advances after each round in which
+    no node sent bits."""
+    budget = network.bits_per_edge_per_round
+    transcript = CongestTranscript()
+    inbox = defaultdict(dict)
+    frame = 0
+    for r in range(max_rounds):
+        if not inbox and all(p.done for p in programs.values()):
+            return transcript
+        delivered, inbox = inbox, defaultdict(dict)
+        record = {}
+        for v, prog in programs.items():
+            out = prog.step(frame, delivered.get(v, {}))
+            for u, bits in out.items():
+                if not bits:
+                    continue
+                if not network.graph.has_edge(v, u):
+                    raise ValueError(f"node {v} sent on non-edge ({v},{u})")
+                if len(bits) > budget:
+                    raise BudgetViolation(r, (v, u), len(bits), budget)
+                record[(v, u)] = bits
+                inbox[u][v] = bits
+        transcript.steps += len(programs)
+        transcript.rounds.append(record)
+        if not record:
+            frame += 1
+    if inbox or not all(p.done for p in programs.values()):
+        raise RoundLimitError(f"no convergence within {max_rounds} rounds")
+    return transcript
+
+
+BOTH_DRIVERS = pytest.mark.parametrize(
+    "driver", [run_congest, lockstep_run_congest], ids=["event", "lockstep"]
+)
+
+
 class _Echo:
     """Sends one fixed payload to each neighbor in round 0, then stops."""
+
+    busy = False
+    release_frames = ()
 
     def __init__(self, node, neighbors, payload):
         self.node = node
@@ -41,7 +86,7 @@ class _Echo:
     def done(self):
         return self.sent
 
-    def step(self, r, inbox):
+    def step(self, frame, inbox):
         self.got.update(inbox)
         if self.sent:
             return {}
@@ -49,14 +94,64 @@ class _Echo:
         return {u: self.payload for u in self.neighbors}
 
 
-def test_run_congest_delivers_next_round():
+@BOTH_DRIVERS
+def test_run_congest_delivers_next_round(driver):
     g = Graph.build(2, [(0, 1)])
     net = CongestNetwork(g, bit_factor=4)
     progs = {v: _Echo(v, g.neighbors[v], "1010") for v in (0, 1)}
-    tr = run_congest(net, progs, 10)
-    assert tr.total_rounds >= 1
+    tr = driver(net, progs, 10)
+    assert tr.total_rounds == 2
     assert progs[0].got == {1: "1010"}
-    assert tr.rounds[0] == {(0, 1): "1010", (1, 0): "1010"}
+    assert tr.rounds == [{(0, 1): "1010", (1, 0): "1010"}, {}]
+    assert tr.steps == 4
+    assert tr.idle_rounds == 1
+
+
+class _Late:
+    """Holds one payload for its neighbor until the frame reaches `due`, and
+    logs the frame of every step it is given."""
+
+    busy = False
+
+    def __init__(self, neighbor, due, log):
+        self.neighbor = neighbor
+        self.release_frames = (due,)
+        self.log = log
+        self.sent = False
+
+    @property
+    def done(self):
+        return self.sent
+
+    def step(self, frame, inbox):
+        self.log.append(frame)
+        if self.sent or frame < self.release_frames[0]:
+            return {}
+        self.sent = True
+        return {self.neighbor: "1"}
+
+
+def test_run_congest_steps_only_on_mail_busy_or_release():
+    g = Graph.build(2, [(0, 1)])
+    log0, log1 = [], []
+    progs = {0: _Late(1, 3, log0), 1: _Late(0, 1, log1)}
+    tr = run_congest(CongestNetwork(g), progs, 20)
+    # Round 0 steps all; frames 1..3 are reached after the idle rounds 0, 2
+    # and 3. Node 1 sends at frame 1 (round 1), node 0 at frame 3 (round 4).
+    assert [list(r) for r in tr.rounds] == [[], [(1, 0)], [], [], [(0, 1)], []]
+    assert tr.idle_rounds == 4
+    # node 0: round 0, round 2 (mail from node 1), round 4 (frame 3 reached);
+    # node 1: round 0, round 1 (frame 1 reached), round 5 (mail from node 0).
+    assert log0 == [0, 1, 3]
+    assert log1 == [0, 1, 3]
+    assert tr.steps == 6
+    ref = lockstep_run_congest(CongestNetwork(g), {
+        0: _Late(1, 3, []), 1: _Late(0, 1, [])
+    }, 20)
+    assert [list(r.items()) for r in ref.rounds] == [
+        list(r.items()) for r in tr.rounds
+    ]
+    assert ref.steps == 2 * len(ref.rounds)
 
 
 def test_run_congest_enforces_budget():
@@ -78,8 +173,10 @@ def test_run_congest_rejects_non_edges():
 def test_run_congest_round_limit():
     class Forever:
         done = False
+        busy = False
+        release_frames = ()
 
-        def step(self, r, inbox):
+        def step(self, frame, inbox):
             return {}
 
     g = Graph.build(2, [(0, 1)])
@@ -170,6 +267,72 @@ def test_decomposition_deterministic():
     b = distributed_rank_decomposition(inst, seed=4)
     assert a.decompositions == b.decompositions
     assert a.rounds == b.rounds
+
+
+def _decompose_with(driver, monkeypatch, instance, **kwargs):
+    monkeypatch.setattr(congest_module, "run_congest", driver)
+    try:
+        return distributed_rank_decomposition(instance, **kwargs)
+    finally:
+        monkeypatch.undo()
+
+
+def _assert_same_run(got, ref):
+    assert got.rounds == ref.rounds
+    assert len(got.transcripts) == len(ref.transcripts) == 3
+    for a, b in zip(got.transcripts, ref.transcripts):
+        assert a.total_rounds == b.total_rounds
+        for ra, rb in zip(a.rounds, b.rounds):
+            assert list(ra.items()) == list(rb.items())
+    assert {t: r.rank for t, r in got.ranks.items()} == {
+        t: r.rank for t, r in ref.ranks.items()
+    }
+    assert {t: decomposition_to_json(d) for t, d in got.decompositions.items()} == {
+        t: decomposition_to_json(d) for t, d in ref.decompositions.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "make, seed, bit_factor",
+    [
+        (lambda: gen_random_instance(2000, 60, 12, 0), 0, 4),  # C > D
+        (lambda: gen_random_instance(2000, 60, 12, 0), 1, 4),
+        (lambda: gen_layered_instance(300, 4, 20, 1), 2, 4),  # C <= D
+        (lambda: gen_random_instance(200, 30, 6, 3), 5, 2),  # drains span rounds
+    ],
+    ids=["random2000-s0", "random2000-s1", "layered-c-le-d", "bit-factor-2"],
+)
+def test_event_driver_matches_lockstep(monkeypatch, make, seed, bit_factor):
+    inst = make()
+    busy_seen = []
+    drain = congest_module._PhaseProgram.drain
+
+    def spy(self):
+        out = drain(self)
+        busy_seen.append(self.busy)
+        return out
+
+    monkeypatch.setattr(congest_module._PhaseProgram, "drain", spy)
+    got = distributed_rank_decomposition(inst, seed=seed, bit_factor=bit_factor)
+    monkeypatch.undo()
+    ref = _decompose_with(
+        lockstep_run_congest, monkeypatch, inst, seed=seed, bit_factor=bit_factor
+    )
+    _assert_same_run(got, ref)
+    if bit_factor == 2:
+        assert any(busy_seen)
+    for a, b in zip(got.transcripts, ref.transcripts):
+        assert a.idle_rounds == b.idle_rounds
+        assert a.steps < b.steps
+
+
+def test_event_driver_steps_well_below_lockstep():
+    inst = gen_random_instance(300, 20, 8, 0)
+    dist = distributed_rank_decomposition(inst, seed=0)
+    programs = inst.graph.node_count
+    assert all(tr.steps >= programs for tr in dist.transcripts)  # round 0
+    steps = sum(tr.steps for tr in dist.transcripts)
+    assert 4 * steps < programs * dist.rounds
 
 
 # --- distributed multicast -------------------------------------------------
