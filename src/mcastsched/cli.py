@@ -49,6 +49,7 @@ from .schedulers import (
     deterministic_schedule,
     frame_congestion_profile,
     frame_multicast_schedule,
+    frame_schedule_from_decomps,
     greedy_schedule,
     random_delay_schedule,
 )
@@ -77,12 +78,28 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
+# What a wrong-shaped JSON document raises while it is read.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+
 def _load_instance(path: str):
     try:
         with open(path) as fh:
-            return instance_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+            instance = instance_from_json(fh.read())
+        problems = validate_instance(instance)
+    except _READ_ERRORS as exc:
         _fail(f"cannot read instance {path}: {exc}")
+    if problems:
+        _fail(f"invalid instance {path}: {problems[0]}")
+    return instance
+
+
+def _load_schedule(path: str):
+    try:
+        with open(path) as fh:
+            return schedule_from_json(fh.read())
+    except _READ_ERRORS as exc:
+        _fail(f"cannot read schedule {path}: {exc}")
 
 
 def _run_scheduler(instance, scheduler: str, seed: int, ell, budget):
@@ -240,11 +257,7 @@ def cmd_schedule(instance_file, scheduler, seed, ell, budget, output):
 def cmd_validate(instance_file, schedule_file):
     """Replay a schedule against an instance; exit 1 on any violation."""
     instance = _load_instance(instance_file)
-    try:
-        with open(schedule_file) as fh:
-            sched = schedule_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
-        _fail(f"cannot read schedule {schedule_file}: {exc}")
+    sched = _load_schedule(schedule_file)
     report = simulate(instance, sched)
     for v in report.violations:
         click.echo(f"{v.kind} at round {v.round}: {v.detail}")
@@ -308,16 +321,24 @@ def cmd_congest_sim(instance_file, seed, epsilon, bit_factor, multicast, depths_
     except ValueError as exc:
         _fail(str(exc))
     audit = message_size_audit(dist.transcripts, budget)
+    node_steps = sum(tr.steps for tr in dist.transcripts)
     click.echo(
         f"decomposition rounds={dist.rounds} chunk_length={dist.chunk_length} "
-        f"max_bits={audit.max_bits} budget={budget} audit={'pass' if audit.passed else 'FAIL'}"
+        f"node_steps={node_steps} max_bits={audit.max_bits} budget={budget} "
+        f"audit={'pass' if audit.passed else 'FAIL'}"
     )
     if not audit.passed:
         sys.exit(2)
     if multicast:
-        sched, rounds = distributed_multicast(
-            instance, epsilon, seed, depths_known, bit_factor
-        )
+        if depths_known:
+            sched, rounds = distributed_multicast(
+                instance, epsilon, seed, True, bit_factor
+            )
+        else:  # the schedule distributed_multicast builds over `dist`
+            sched, _ = frame_schedule_from_decomps(
+                instance, dist.decompositions, dist.chunk_length, seed
+            )
+            rounds = dist.rounds + sched.declared_length
         report = simulate(instance, sched)
         if not report.valid:
             click.echo("internal error: multicast schedule invalid", err=True)
@@ -373,8 +394,7 @@ def cmd_opt(instance_file, horizon):
 def cmd_markov_check(instance_file, schedule_file):
     """Per-edge delay-set check on a schedule."""
     instance = _load_instance(instance_file)
-    with open(schedule_file) as fh:
-        sched = schedule_from_json(fh.read())
+    sched = _load_schedule(schedule_file)
     report = markov_delay_check(instance, sched)
     click.echo(f"edges_checked={len(report.per_edge)} passed={report.passed}")
     if not report.passed:

@@ -5,8 +5,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import mcastsched.congest as congest_module
 from mcastsched import (
     compute_metrics,
+    distributed_multicast,
+    distributed_rank_decomposition,
     instance_from_json,
     instance_to_json,
     schedule_from_json,
@@ -166,6 +169,80 @@ def test_congest_sim_command(runner, tmp_path):
     assert res.exit_code == 0, res.output
     assert "audit=pass" in res.output
     assert "multicast length=" in res.output
+
+
+def test_congest_sim_multicast_decomposes_once(runner, tmp_path, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    runner.invoke(
+        main,
+        ["gen", "random", "--n", "60", "--trees", "8", "--depth", "5",
+         "--seed", "1", "-o", str(inst_file)],
+    )
+    inst = instance_from_json(inst_file.read_text())
+    sched, rounds = distributed_multicast(inst, seed=3, depths_known=False)
+    dist = distributed_rank_decomposition(inst, seed=3)
+    calls = []
+    run = congest_module.run_congest
+    monkeypatch.setattr(
+        congest_module, "run_congest", lambda *a: calls.append(1) or run(*a)
+    )
+    res = runner.invoke(
+        main, ["congest-sim", str(inst_file), "--seed", "3", "--multicast"]
+    )
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    assert f"node_steps={sum(tr.steps for tr in dist.transcripts)} " in lines[0]
+    assert lines[-1] == (
+        f"multicast length={sched.declared_length} congest_rounds={rounds}"
+    )
+    assert len(calls) == 3  # one decomposition: rank, preferred, refine
+
+
+def _assert_clean_error(res, *needles):
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)  # no traceback escaped
+    assert "error:" in res.output
+    for needle in needles:
+        assert needle in res.output
+
+
+@pytest.mark.parametrize(
+    "doc, needle",
+    [
+        (  # defect (a): tree edge (1,2) is not a host-graph edge
+            {"n": 3, "edges": [[0, 1]],
+             "trees": [{"id": 0, "root": 0, "parent": {"1": 0, "2": 1}}]},
+            "edge (1,2) missing from host graph",
+        ),
+        (  # defect (b): nodes 1 and 2 form a cycle the root cannot reach
+            {"n": 3, "edges": [[0, 1], [1, 2]],
+             "trees": [{"id": 0, "root": 0, "parent": {"1": 2, "2": 1}}]},
+            "unreachable",
+        ),
+        (  # defect (c): `parent` given as a list
+            {"n": 2, "edges": [[0, 1]],
+             "trees": [{"id": 0, "root": 0, "parent": [[1, 0]]}]},
+            "cannot read instance",
+        ),
+    ],
+    ids=["edge-not-in-graph", "unreachable", "parent-list"],
+)
+def test_bad_instance_exits_one(runner, tmp_path, doc, needle):
+    inst_file = tmp_path / "bad.json"
+    inst_file.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["schedule", str(inst_file), "--scheduler", "greedy"])
+    _assert_clean_error(res, needle)
+
+
+@pytest.mark.parametrize("command", ["validate", "markov-check"])
+def test_sends_as_string_exits_one(runner, tmp_path, command):
+    # defect (c): `sends` given as a string
+    inst_file = tmp_path / "shared_edge.json"
+    write_shared_edge(inst_file)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"length": 1, "sends": "0,1"}))
+    res = runner.invoke(main, [command, str(inst_file), str(bad)])
+    _assert_clean_error(res, "cannot read schedule")
 
 
 def test_markov_check_command(runner, tmp_path):
