@@ -184,9 +184,7 @@ class _Params:
     chunk_length: int
     rank_bits: int
     idx_bits: int
-    height_bits: int
     counter_bits: int
-    include_height: bool
     budget: int
 
 
@@ -202,12 +200,10 @@ def _make_params(instance, chunk_length, bit_factor) -> _Params:
         chunk_length=chunk_length,
         rank_bits=_width(max(1, math.floor(math.log2(max(2, n))))),
         idx_bits=_width(c - 1),
-        height_bits=_width(d),
         counter_bits=_width(max(1, chunk_length - 1)),
-        include_height=c > d,
         budget=bit_factor * log2_ceil(n),
     )
-    widest = p.rank_bits + p.idx_bits + (p.height_bits if p.include_height else 0)
+    widest = p.rank_bits + p.idx_bits
     if widest > p.budget:
         raise ValueError(
             f"bit budget {p.budget} cannot carry a {widest}-bit rank message; "
@@ -296,15 +292,13 @@ class _PhaseProgram:
 class _RankProgram(_PhaseProgram):
     """Bottom-up rank convergecast. Leaves of tree T start once frame X_T is
     reached; internal nodes report to their parent as soon as every child has.
-    Each message carries (rank, edge-tree index[, height])."""
+    Each message carries (rank, edge-tree index)."""
 
     def __init__(self, node, view, edges, params, offsets):
         super().__init__(node, view, edges, params, offsets)
         self.waiting = {}  # tid -> number of children still silent
         self.child_rank = defaultdict(dict)  # tid -> {child: rank}
-        self.child_height = defaultdict(dict)  # tid -> {child: height}
         self.rank = {}  # tid -> own rank
-        self.height = {}  # tid -> own height
         self.root_waiting = set()
         for tid, (parent, children) in view.items():
             if children:
@@ -313,20 +307,16 @@ class _RankProgram(_PhaseProgram):
                     self.root_waiting.add(tid)
             else:
                 self.rank[tid] = 0
-                self.height[tid] = 0
                 self.hold(tid, tid)
 
     def _msg(self, tid, parent) -> str:
-        bits = _bits(self.rank[tid], self.params.rank_bits) + _bits(
+        return _bits(self.rank[tid], self.params.rank_bits) + _bits(
             self.trees_on_edge[parent].index(tid), self.params.idx_bits
         )
-        if self.params.include_height:
-            bits += _bits(self.height[tid], self.params.height_bits)
-        return bits
 
     def step(self, frame, inbox):
         p = self.params
-        width = p.rank_bits + p.idx_bits + (p.height_bits if p.include_height else 0)
+        width = p.rank_bits + p.idx_bits
         ready = self.release(frame)  # leaves whose tree starts now
         for nbr, payload in inbox.items():
             trees = self.trees_on_edge[nbr]
@@ -336,17 +326,11 @@ class _RankProgram(_PhaseProgram):
                 idx = int(msg[p.rank_bits : p.rank_bits + p.idx_bits], 2)
                 tid = trees[idx]
                 self.child_rank[tid][nbr] = rank
-                if p.include_height:
-                    self.child_height[tid][nbr] = int(
-                        msg[p.rank_bits + p.idx_bits :], 2
-                    )
                 self.waiting[tid] -= 1
                 if not self.waiting[tid]:
                     ranks = list(self.child_rank[tid].values())
                     top = max(ranks)
                     self.rank[tid] = top + 1 if ranks.count(top) > 1 else top
-                    if p.include_height:
-                        self.height[tid] = 1 + max(self.child_height[tid].values())
                     if self.view[tid][0] is not None:
                         ready.append(tid)
                     else:

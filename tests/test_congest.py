@@ -255,6 +255,17 @@ def test_distributed_short_and_budget(seed):
         ).passed
 
 
+def test_rank_message_is_rank_and_tag():
+    inst = gen_random_instance(200, 30, 6, 3)  # C = 12 > D = 6
+    m = compute_metrics(inst)
+    assert m.congestion > m.dilation
+    width = (math.floor(math.log2(200))).bit_length() + (m.congestion - 1).bit_length()
+    rank_phase = distributed_rank_decomposition(inst, seed=5).transcripts[0]
+    assert all(
+        len(bits) % width == 0 for rnd in rank_phase.rounds for bits in rnd.values()
+    )
+
+
 def test_chunk_length_formula():
     inst = gen_random_instance(100, 2, 4, 0)
     dist = distributed_rank_decomposition(inst, epsilon=0.25)
