@@ -221,27 +221,24 @@ def tree_offsets(instance, seed: int, span: int) -> dict[int, int]:
 
 
 def _local_views(instance):
-    """Per-node initial knowledge: incident trees with parent/children roles."""
+    """Per-node initial knowledge: incident trees with parent/children roles;
+    and per neighbor, the ids of the trees using the edge to it in ascending
+    order, identical at both endpoints, so a tree's position in that list is
+    its message tag on the edge."""
     views: dict[int, dict[int, tuple[int | None, tuple[int, ...]]]] = defaultdict(dict)
+    edges: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
     for t in instance.trees:
+        tid = t.tree_id
         for v in t.depth:
-            views[v][t.tree_id] = (t.parent.get(v), tuple(t.children.get(v, ())))
-    return views
-
-
-def _edge_trees(view) -> dict[int, list[int]]:
-    """Per neighbor, the ids of the trees using the edge to it, in ascending
-    order: identical at both endpoints, so a tree's position in the list is
-    its message tag on that edge."""
-    trees = defaultdict(list)
-    for tid, (parent, children) in view.items():
-        if parent is not None:
-            trees[parent].append(tid)
-        for c in children:
-            trees[c].append(tid)
-    for tids in trees.values():
-        tids.sort()
-    return trees
+            parent = t.parent.get(v)
+            views[v][tid] = (parent, tuple(t.children.get(v, ())))
+            if parent is not None:
+                edges[v][parent].append(tid)
+                edges[parent][v].append(tid)
+    for trees in edges.values():
+        for tids in trees.values():
+            tids.sort()
+    return views, edges
 
 
 class _PhaseProgram:
@@ -256,17 +253,17 @@ class _PhaseProgram:
         self.offsets = offsets
         self.queues: dict[int, deque[str]] = defaultdict(deque)
         self.busy = False
-        self.held: dict[int, list] = defaultdict(list)  # release frame -> work
+        self.held: dict[int, list[int]] = defaultdict(list)  # frame -> tids
 
-    def hold(self, tid, work):
-        self.held[self.offsets[tid]].append(work)
+    def hold(self, tid):
+        self.held[self.offsets[tid]].append(tid)
 
     @property
     def release_frames(self):
         return self.held.keys()
 
-    def release(self, frame) -> list:
-        """The held work due at `frame`; the driver steps this program in the
+    def release(self, frame) -> list[int]:
+        """The held trees due at `frame`; the driver steps this program in the
         round in which the frame reaches each of its release frames."""
         return self.held.pop(frame, [])
 
@@ -307,7 +304,7 @@ class _RankProgram(_PhaseProgram):
                     self.root_waiting.add(tid)
             else:
                 self.rank[tid] = 0
-                self.hold(tid, tid)
+                self.hold(tid)
 
     def _msg(self, tid, parent) -> str:
         return _bits(self.rank[tid], self.params.rank_bits) + _bits(
@@ -356,11 +353,11 @@ class _PreferredProgram(_PhaseProgram):
         self.preferred_edge = {}  # tid -> own parent edge preferred?
         for tid, (parent, children) in view.items():
             if children:
-                ranks = rank_state.child_rank[tid]
-                best = max(children, key=lambda c: (ranks[c], -c))
-                self.preferred[tid] = best
-                for c in children:
-                    self.hold(tid, (tid, c, 1 if c == best else 0))
+                # children ascend, so max keeps the smallest id among ties
+                self.preferred[tid] = max(
+                    children, key=rank_state.child_rank[tid].__getitem__
+                )
+                self.hold(tid)
             if parent is not None:
                 self.expect += 1
 
@@ -374,9 +371,12 @@ class _PreferredProgram(_PhaseProgram):
                 tid = trees[int(msg[: p.idx_bits], 2)]
                 self.preferred_edge[tid] = msg[p.idx_bits] == "1"
                 self.expect -= 1
-        for tid, child, bit in sorted(self.release(frame)):
-            idx = self.trees_on_edge[child].index(tid)
-            self.queues[child].append(_bits(idx, p.idx_bits) + str(bit))
+        for tid in sorted(self.release(frame)):
+            best = self.preferred[tid]
+            for c in self.view[tid][1]:
+                idx = self.trees_on_edge[c].index(tid)
+                bit = "1" if c == best else "0"
+                self.queues[c].append(_bits(idx, p.idx_bits) + bit)
         return self.drain()
 
     @property
@@ -397,7 +397,7 @@ class _RefineProgram(_PhaseProgram):
             if parent is not None:
                 self.expect += 1
             elif children:
-                self.hold(tid, tid)
+                self.hold(tid)
 
     def _emit(self, tid, own_counter):
         p = self.params
@@ -476,22 +476,21 @@ def distributed_rank_decomposition(
     chunk_length = max(1, math.ceil(math.log2(max(2, n)) ** (1 + epsilon)))
     params = _make_params(instance, chunk_length, bit_factor)
     offsets = tree_offsets(instance, seed, params.congestion)
-    views = _local_views(instance)
+    views, edges = _local_views(instance)
     network = CongestNetwork(instance.graph, bit_factor)
     if max_rounds is None:
         max_rounds = 256 + 64 * (params.congestion + params.dilation)
 
     nodes = sorted(set(views) | set(range(instance.graph.node_count)))
-    edges = {v: _edge_trees(views.get(v, {})) for v in nodes}
     rank_progs = {
-        v: _RankProgram(v, views.get(v, {}), edges[v], params, offsets)
+        v: _RankProgram(v, views.get(v, {}), edges.get(v, {}), params, offsets)
         for v in nodes
     }
     t1 = run_congest(network, rank_progs, max_rounds)
 
     pref_progs = {
         v: _PreferredProgram(
-            v, views.get(v, {}), edges[v], params, offsets, rank_progs[v]
+            v, views.get(v, {}), edges.get(v, {}), params, offsets, rank_progs[v]
         )
         for v in nodes
     }
@@ -499,7 +498,8 @@ def distributed_rank_decomposition(
 
     refine_progs = {
         v: _RefineProgram(
-            v, views.get(v, {}), edges[v], params, offsets, pref_progs[v].preferred
+            v, views.get(v, {}), edges.get(v, {}), params, offsets,
+            pref_progs[v].preferred,
         )
         for v in nodes
     }
