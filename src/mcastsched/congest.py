@@ -221,39 +221,40 @@ def tree_offsets(instance, seed: int, span: int) -> dict[int, int]:
 
 
 def _local_views(instance):
-    """Per-node initial knowledge: incident trees with parent/children roles;
-    and per neighbor, the ids of the trees using the edge to it in ascending
-    order, identical at both endpoints, so a tree's position in that list is
-    its message tag on the edge."""
+    """Per-node initial knowledge: incident trees with parent/children roles."""
     views: dict[int, dict[int, tuple[int | None, tuple[int, ...]]]] = defaultdict(dict)
-    edges: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
     for t in instance.trees:
-        tid = t.tree_id
         for v in t.depth:
-            parent = t.parent.get(v)
-            views[v][tid] = (parent, tuple(t.children.get(v, ())))
-            if parent is not None:
-                edges[v][parent].append(tid)
-                edges[parent][v].append(tid)
-    for trees in edges.values():
-        for tids in trees.values():
-            tids.sort()
-    return views, edges
+            views[v][t.tree_id] = (t.parent.get(v), tuple(t.children.get(v, ())))
+    return views
 
 
 class _PhaseProgram:
     """Common plumbing: per-neighbor message queues drained under the bit
     budget, and work held until the frame reaches its tree's offset X_T."""
 
-    def __init__(self, node, view, edges, params, offsets):
+    def __init__(self, node, view, edge_trees, params, offsets):
         self.node = node
         self.view = view
-        self.trees_on_edge = edges  # neighbor -> tree ids, shared by the phases
+        self.edge_trees = edge_trees  # filled on first use, shared by the phases
         self.params = params
         self.offsets = offsets
         self.queues: dict[int, deque[str]] = defaultdict(deque)
         self.busy = False
         self.held: dict[int, list[int]] = defaultdict(list)  # frame -> tids
+
+    def trees_on_edge(self, nbr) -> list[int]:
+        """Ids of the trees using the edge to `nbr`, ascending: identical at
+        both endpoints, so a tree's position is its message tag there."""
+        if not self.edge_trees:
+            for tid, (parent, children) in self.view.items():
+                if parent is not None:
+                    self.edge_trees.setdefault(parent, []).append(tid)
+                for c in children:
+                    self.edge_trees.setdefault(c, []).append(tid)
+            for tids in self.edge_trees.values():
+                tids.sort()
+        return self.edge_trees[nbr]
 
     def hold(self, tid):
         self.held[self.offsets[tid]].append(tid)
@@ -291,10 +292,12 @@ class _RankProgram(_PhaseProgram):
     reached; internal nodes report to their parent as soon as every child has.
     Each message carries (rank, edge-tree index)."""
 
-    def __init__(self, node, view, edges, params, offsets):
-        super().__init__(node, view, edges, params, offsets)
+    def __init__(self, node, view, edge_trees, params, offsets):
+        super().__init__(node, view, edge_trees, params, offsets)
         self.waiting = {}  # tid -> number of children still silent
-        self.child_rank = defaultdict(dict)  # tid -> {child: rank}
+        self.top = {}  # tid -> highest child rank so far
+        self.ties = {}  # tid -> number of children at that rank
+        self.preferred = {}  # tid -> smallest child id at that rank
         self.rank = {}  # tid -> own rank
         self.root_waiting = set()
         for tid, (parent, children) in view.items():
@@ -308,7 +311,7 @@ class _RankProgram(_PhaseProgram):
 
     def _msg(self, tid, parent) -> str:
         return _bits(self.rank[tid], self.params.rank_bits) + _bits(
-            self.trees_on_edge[parent].index(tid), self.params.idx_bits
+            self.trees_on_edge(parent).index(tid), self.params.idx_bits
         )
 
     def step(self, frame, inbox):
@@ -316,18 +319,22 @@ class _RankProgram(_PhaseProgram):
         width = p.rank_bits + p.idx_bits
         ready = self.release(frame)  # leaves whose tree starts now
         for nbr, payload in inbox.items():
-            trees = self.trees_on_edge[nbr]
+            trees = self.trees_on_edge(nbr)
             for i in range(0, len(payload), width):
                 msg = payload[i : i + width]
                 rank = int(msg[: p.rank_bits], 2)
                 idx = int(msg[p.rank_bits : p.rank_bits + p.idx_bits], 2)
                 tid = trees[idx]
-                self.child_rank[tid][nbr] = rank
+                top = self.top.get(tid, -1)
+                if rank > top:
+                    self.top[tid], self.ties[tid], self.preferred[tid] = rank, 1, nbr
+                elif rank == top:
+                    self.ties[tid] += 1
+                    self.preferred[tid] = min(self.preferred[tid], nbr)
                 self.waiting[tid] -= 1
                 if not self.waiting[tid]:
-                    ranks = list(self.child_rank[tid].values())
-                    top = max(ranks)
-                    self.rank[tid] = top + 1 if ranks.count(top) > 1 else top
+                    top = self.top[tid]
+                    self.rank[tid] = top + 1 if self.ties[tid] > 1 else top
                     if self.view[tid][0] is not None:
                         ready.append(tid)
                     else:
@@ -346,17 +353,15 @@ class _PreferredProgram(_PhaseProgram):
     """Downward notification, one tagged bit per (tree, child): whether the
     child's edge is the parent's preferred (highest-rank) edge."""
 
-    def __init__(self, node, view, edges, params, offsets, rank_state: _RankProgram):
-        super().__init__(node, view, edges, params, offsets)
-        self.preferred = {}
+    def __init__(
+        self, node, view, edge_trees, params, offsets, preferred: dict[int, int]
+    ):
+        super().__init__(node, view, edge_trees, params, offsets)
+        self.preferred = preferred  # tid -> preferred child, from the rank phase
         self.expect = 0  # parent-edge bits still to arrive
         self.preferred_edge = {}  # tid -> own parent edge preferred?
         for tid, (parent, children) in view.items():
             if children:
-                # children ascend, so max keeps the smallest id among ties
-                self.preferred[tid] = max(
-                    children, key=rank_state.child_rank[tid].__getitem__
-                )
                 self.hold(tid)
             if parent is not None:
                 self.expect += 1
@@ -365,7 +370,7 @@ class _PreferredProgram(_PhaseProgram):
         p = self.params
         width = p.idx_bits + 1
         for nbr, payload in inbox.items():
-            trees = self.trees_on_edge[nbr]
+            trees = self.trees_on_edge(nbr)
             for i in range(0, len(payload), width):
                 msg = payload[i : i + width]
                 tid = trees[int(msg[: p.idx_bits], 2)]
@@ -374,7 +379,7 @@ class _PreferredProgram(_PhaseProgram):
         for tid in sorted(self.release(frame)):
             best = self.preferred[tid]
             for c in self.view[tid][1]:
-                idx = self.trees_on_edge[c].index(tid)
+                idx = self.trees_on_edge(c).index(tid)
                 bit = "1" if c == best else "0"
                 self.queues[c].append(_bits(idx, p.idx_bits) + bit)
         return self.drain()
@@ -388,8 +393,10 @@ class _RefineProgram(_PhaseProgram):
     """Top-down chunk refinement: a counter walks down each preferred chain
     and wraps modulo the chunk length; light edges restart it at zero."""
 
-    def __init__(self, node, view, edges, params, offsets, preferred: dict[int, int]):
-        super().__init__(node, view, edges, params, offsets)
+    def __init__(
+        self, node, view, edge_trees, params, offsets, preferred: dict[int, int]
+    ):
+        super().__init__(node, view, edge_trees, params, offsets)
         self.preferred = preferred  # tid -> preferred child at this node
         self.counter = {}  # tid -> position mod chunk_length of own parent edge
         self.expect = 0  # parent-edge counters still to arrive
@@ -407,14 +414,14 @@ class _RefineProgram(_PhaseProgram):
                 val = (own_counter + 1) % p.chunk_length
             else:
                 val = 0
-            idx = self.trees_on_edge[c].index(tid)
+            idx = self.trees_on_edge(c).index(tid)
             self.queues[c].append(_bits(idx, p.idx_bits) + _bits(val, p.counter_bits))
 
     def step(self, frame, inbox):
         p = self.params
         width = p.idx_bits + p.counter_bits
         for nbr, payload in inbox.items():
-            trees = self.trees_on_edge[nbr]
+            trees = self.trees_on_edge(nbr)
             for i in range(0, len(payload), width):
                 msg = payload[i : i + width]
                 tid = trees[int(msg[: p.idx_bits], 2)]
@@ -476,21 +483,22 @@ def distributed_rank_decomposition(
     chunk_length = max(1, math.ceil(math.log2(max(2, n)) ** (1 + epsilon)))
     params = _make_params(instance, chunk_length, bit_factor)
     offsets = tree_offsets(instance, seed, params.congestion)
-    views, edges = _local_views(instance)
+    views = _local_views(instance)
     network = CongestNetwork(instance.graph, bit_factor)
     if max_rounds is None:
         max_rounds = 256 + 64 * (params.congestion + params.dilation)
 
     nodes = sorted(set(views) | set(range(instance.graph.node_count)))
+    edge_trees = {v: {} for v in nodes}  # per node: neighbor -> tree ids
     rank_progs = {
-        v: _RankProgram(v, views.get(v, {}), edges.get(v, {}), params, offsets)
+        v: _RankProgram(v, views.get(v, {}), edge_trees[v], params, offsets)
         for v in nodes
     }
     t1 = run_congest(network, rank_progs, max_rounds)
 
     pref_progs = {
         v: _PreferredProgram(
-            v, views.get(v, {}), edges.get(v, {}), params, offsets, rank_progs[v]
+            v, views.get(v, {}), edge_trees[v], params, offsets, rank_progs[v].preferred
         )
         for v in nodes
     }
@@ -498,7 +506,7 @@ def distributed_rank_decomposition(
 
     refine_progs = {
         v: _RefineProgram(
-            v, views.get(v, {}), edges.get(v, {}), params, offsets,
+            v, views.get(v, {}), edge_trees[v], params, offsets,
             pref_progs[v].preferred,
         )
         for v in nodes

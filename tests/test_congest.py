@@ -154,23 +154,26 @@ def test_run_congest_steps_only_on_mail_busy_or_release():
     assert ref.steps == 2 * len(ref.rounds)
 
 
-def test_run_congest_enforces_budget():
+@BOTH_DRIVERS
+def test_run_congest_enforces_budget(driver):
     g = Graph.build(2, [(0, 1)])
     net = CongestNetwork(g, bit_factor=1)  # budget = 1 * ceil(log2 2) = 1
     progs = {v: _Echo(v, g.neighbors[v], "1010") for v in (0, 1)}
     with pytest.raises(BudgetViolation):
-        run_congest(net, progs, 10)
+        driver(net, progs, 10)
 
 
-def test_run_congest_rejects_non_edges():
+@BOTH_DRIVERS
+def test_run_congest_rejects_non_edges(driver):
     g = Graph.build(3, [(0, 1)])
     net = CongestNetwork(g)
     progs = {v: _Echo(v, [2] if v == 0 else [], "1") for v in range(3)}
     with pytest.raises(ValueError):
-        run_congest(net, progs, 10)
+        driver(net, progs, 10)
 
 
-def test_run_congest_round_limit():
+@BOTH_DRIVERS
+def test_run_congest_round_limit(driver):
     class Forever:
         done = False
         busy = False
@@ -181,7 +184,7 @@ def test_run_congest_round_limit():
 
     g = Graph.build(2, [(0, 1)])
     with pytest.raises(RoundLimitError):
-        run_congest(CongestNetwork(g), {0: Forever(), 1: Forever()}, 5)
+        driver(CongestNetwork(g), {0: Forever(), 1: Forever()}, 5)
 
 
 def test_message_size_audit_histogram():
@@ -280,29 +283,6 @@ def test_decomposition_deterministic():
     assert a.rounds == b.rounds
 
 
-def _decompose_with(driver, monkeypatch, instance, **kwargs):
-    monkeypatch.setattr(congest_module, "run_congest", driver)
-    try:
-        return distributed_rank_decomposition(instance, **kwargs)
-    finally:
-        monkeypatch.undo()
-
-
-def _assert_same_run(got, ref):
-    assert got.rounds == ref.rounds
-    assert len(got.transcripts) == len(ref.transcripts) == 3
-    for a, b in zip(got.transcripts, ref.transcripts):
-        assert a.total_rounds == b.total_rounds
-        for ra, rb in zip(a.rounds, b.rounds):
-            assert list(ra.items()) == list(rb.items())
-    assert {t: r.rank for t, r in got.ranks.items()} == {
-        t: r.rank for t, r in ref.ranks.items()
-    }
-    assert {t: decomposition_to_json(d) for t, d in got.decompositions.items()} == {
-        t: decomposition_to_json(d) for t, d in ref.decompositions.items()
-    }
-
-
 @pytest.mark.parametrize(
     "make, seed, bit_factor",
     [
@@ -326,15 +306,24 @@ def test_event_driver_matches_lockstep(monkeypatch, make, seed, bit_factor):
     monkeypatch.setattr(congest_module._PhaseProgram, "drain", spy)
     got = distributed_rank_decomposition(inst, seed=seed, bit_factor=bit_factor)
     monkeypatch.undo()
-    ref = _decompose_with(
-        lockstep_run_congest, monkeypatch, inst, seed=seed, bit_factor=bit_factor
-    )
-    _assert_same_run(got, ref)
-    if bit_factor == 2:
-        assert any(busy_seen)
+    monkeypatch.setattr(congest_module, "run_congest", lockstep_run_congest)
+    ref = distributed_rank_decomposition(inst, seed=seed, bit_factor=bit_factor)
+    assert got.rounds == ref.rounds
+    assert len(got.transcripts) == len(ref.transcripts) == 3
     for a, b in zip(got.transcripts, ref.transcripts):
+        assert a.total_rounds == b.total_rounds
+        for ra, rb in zip(a.rounds, b.rounds):
+            assert list(ra.items()) == list(rb.items())  # key order too
         assert a.idle_rounds == b.idle_rounds
         assert a.steps < b.steps
+    assert {t: r.rank for t, r in got.ranks.items()} == {
+        t: r.rank for t, r in ref.ranks.items()
+    }
+    assert {t: decomposition_to_json(d) for t, d in got.decompositions.items()} == {
+        t: decomposition_to_json(d) for t, d in ref.decompositions.items()
+    }
+    if bit_factor == 2:
+        assert any(busy_seen)
 
 
 def test_event_driver_steps_well_below_lockstep():
