@@ -64,11 +64,6 @@ def lockstep_run_congest(network, programs, max_rounds):
     return transcript
 
 
-BOTH_DRIVERS = pytest.mark.parametrize(
-    "driver", [run_congest, lockstep_run_congest], ids=["event", "lockstep"]
-)
-
-
 class _Echo:
     """Sends one fixed payload to each neighbor in round 0, then stops."""
 
@@ -94,8 +89,7 @@ class _Echo:
         return {u: self.payload for u in self.neighbors}
 
 
-@BOTH_DRIVERS
-def test_run_congest_delivers_next_round(driver):
+def test_run_congest_delivers_next_round(driver=run_congest):
     g = Graph.build(2, [(0, 1)])
     net = CongestNetwork(g, bit_factor=4)
     progs = {v: _Echo(v, g.neighbors[v], "1010") for v in (0, 1)}
@@ -154,8 +148,7 @@ def test_run_congest_steps_only_on_mail_busy_or_release():
     assert ref.steps == 2 * len(ref.rounds)
 
 
-@BOTH_DRIVERS
-def test_run_congest_enforces_budget(driver):
+def test_run_congest_enforces_budget(driver=run_congest):
     g = Graph.build(2, [(0, 1)])
     net = CongestNetwork(g, bit_factor=1)  # budget = 1 * ceil(log2 2) = 1
     progs = {v: _Echo(v, g.neighbors[v], "1010") for v in (0, 1)}
@@ -163,8 +156,7 @@ def test_run_congest_enforces_budget(driver):
         driver(net, progs, 10)
 
 
-@BOTH_DRIVERS
-def test_run_congest_rejects_non_edges(driver):
+def test_run_congest_rejects_non_edges(driver=run_congest):
     g = Graph.build(3, [(0, 1)])
     net = CongestNetwork(g)
     progs = {v: _Echo(v, [2] if v == 0 else [], "1") for v in range(3)}
@@ -172,8 +164,7 @@ def test_run_congest_rejects_non_edges(driver):
         driver(net, progs, 10)
 
 
-@BOTH_DRIVERS
-def test_run_congest_round_limit(driver):
+def test_run_congest_round_limit(driver=run_congest):
     class Forever:
         done = False
         busy = False
@@ -185,6 +176,18 @@ def test_run_congest_round_limit(driver):
     g = Graph.build(2, [(0, 1)])
     with pytest.raises(RoundLimitError):
         driver(CongestNetwork(g), {0: Forever(), 1: Forever()}, 5)
+
+
+@pytest.mark.parametrize("check", [
+    test_run_congest_delivers_next_round,
+    test_run_congest_enforces_budget,
+    test_run_congest_rejects_non_edges,
+    test_run_congest_round_limit,
+], ids=["delivers_next_round", "enforces_budget", "rejects_non_edges",
+        "round_limit"])
+def test_lockstep_reference_same_contract(check):
+    """The lock-step reference passes the driver checks `run_congest` does."""
+    check(lockstep_run_congest)
 
 
 def test_message_size_audit_histogram():
