@@ -1,0 +1,126 @@
+"""Golden fixtures: the SHA-256 of `schedule_to_json` and the length of every
+scheduler's output on a fixed corpus, plus the round count and decomposition
+of `distributed_rank_decomposition`.
+
+Any change to a schedule's bytes fails here. When a change means to alter
+output, regenerate the fixtures with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say which output changed and why.
+"""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from mcastsched import (
+    SeedSearchError,
+    build_lowerbound,
+    decomposition_to_json,
+    deterministic_schedule,
+    distributed_multicast,
+    distributed_rank_decomposition,
+    frame_multicast_schedule,
+    frame_schedule_from_decomps,
+    gen_layered_instance,
+    gen_random_instance,
+    greedy_schedule,
+    log2_ceil,
+    random_delay_schedule,
+    schedule_to_json,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "schedules.json"
+REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
+
+CORPUS = {
+    "lowerbound-2-2": lambda: build_lowerbound(2, 2).instance,
+    "lowerbound-4-2": lambda: build_lowerbound(4, 2).instance,
+    "layered-128-16-30-2": lambda: gen_layered_instance(128, 16, 30, 2),
+    "random-2000-60-12-0": lambda: gen_random_instance(2000, 60, 12, 0),
+}
+SEEDS = (0, 1)
+EPSILON = 0.25  # distributed_rank_decomposition's default, as in the benchmark
+BIT_FACTOR = 4
+
+
+def fingerprint(schedule) -> dict:
+    text = schedule_to_json(schedule)
+    return {
+        "length": schedule.declared_length,
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+def deterministic_result(instance) -> dict:
+    """The seed search at budget ceil(1.25 * ell), or its best miss."""
+    budget = math.ceil(1.25 * log2_ceil(instance.graph.node_count))
+    try:
+        schedule, seed = deterministic_schedule(instance, budget, seed_cap=32)
+    except SeedSearchError as exc:
+        return {"best_seed": exc.best_seed, "best_congestion": exc.best_congestion}
+    return {"seed": seed, **fingerprint(schedule)}
+
+
+def compute(name: str) -> dict:
+    instance = CORPUS[name]()
+    out = {
+        "greedy": fingerprint(greedy_schedule(instance)),
+        "deterministic": deterministic_result(instance),
+    }
+    for seed in SEEDS:
+        dist = distributed_rank_decomposition(instance, EPSILON, seed, BIT_FACTOR)
+        chunks = "\n".join(
+            decomposition_to_json(dist.decompositions[tid])
+            for tid in sorted(dist.decompositions)
+        )
+        out[str(seed)] = {
+            "random_delay": fingerprint(random_delay_schedule(instance, seed)),
+            "frames": fingerprint(frame_multicast_schedule(instance, seed)[0]),
+            "congest": fingerprint(
+                distributed_multicast(instance, EPSILON, seed, depths_known=True)[0]
+            ),
+            "distributed": fingerprint(
+                frame_schedule_from_decomps(
+                    instance, dist.decompositions, dist.chunk_length, seed
+                )[0]
+            ),
+            "rank_rounds": dist.rounds,
+            "rank_chunks_sha256": hashlib.sha256(chunks.encode()).hexdigest(),
+        }
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_golden_schedules(golden, name):
+    assert compute(name) == golden[name]
+
+
+def test_golden_matches_benchmark_reference(golden):
+    """The congest-random workload is the corpus's random instance."""
+    reference = json.loads(REFERENCE.read_text())["congest-random"]
+    ours = golden["random-2000-60-12-0"]
+    for seed in SEEDS:
+        ref = reference[str(seed)]
+        for scheduler in ("greedy", "random_delay", "frames", "distributed"):
+            mine = ours[scheduler] if scheduler == "greedy" else ours[str(seed)][scheduler]
+            assert mine["sha256"] == ref["sha256"][scheduler], (seed, scheduler)
+            assert mine["length"] == ref["length"][scheduler], (seed, scheduler)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps({name: compute(name) for name in sorted(CORPUS)}, indent=1, sort_keys=True)
+        + "\n"
+    )
+    print(f"wrote {GOLDEN}")
