@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import Counter, defaultdict
@@ -44,47 +45,51 @@ class SeedSearchError(RuntimeError):
         self.best_congestion = best_congestion
 
 
-def _route_trees(instance: MulticastInstance, priority, gate=None) -> Schedule:
-    """Forward every message down its tree, one packet per edge per round.
+def _route(sources, below, value) -> Schedule:
+    """Route messages down trees, one packet per edge per round.
 
-    priority(tree_id, parent, child) orders candidates per edge (min wins);
-    gate(tree_id, round) may hold a tree back. Runs until every tree node
-    holds its tree's message.
+    sources: (start round >= 1, key, message id, root) for each tree.
+    below(key, node, depth) lists the children of `node`, at `depth` in tree
+    `key`; a unicast path is a chain whose node at depth d is seq[d]. In each
+    round each edge forwards its candidate hop of least (value(key, child,
+    depth of child), key), and the child forwards from the next round on.
     """
-    candidates: dict[tuple[int, int], list[tuple[int, int, int]]] = defaultdict(list)
-    waiting = 0
+    release = defaultdict(list)
+    for source in sources:
+        release[source[0]].append(source)
+    waiting: dict[tuple[int, int], list] = {}  # edge -> heap of candidate hops
 
-    def arm(tree, node):
-        nonlocal waiting
-        for c in tree.children.get(node, ()):
-            candidates[norm_edge(node, c)].append((tree.tree_id, node, c))
-            waiting += 1
+    def arm(key, mid, node, depth):
+        for c in below(key, node, depth):
+            hop = (value(key, c, depth + 1), key, mid, node, c, depth + 1)
+            heapq.heappush(waiting.setdefault(norm_edge(node, c), []), hop)
 
-    for t in instance.trees:
-        arm(t, t.root)
-
-    by_id = instance.tree_by_id
     sends = []
-    rnd = 0
-    while waiting:
+    rnd, last_start = 0, max(release, default=0)
+    while waiting or rnd < last_start:
         rnd += 1
-        delivered = []
-        for edge in sorted(e for e, lst in candidates.items() if lst):
-            lst = candidates[edge]
-            pool = lst if gate is None else [c for c in lst if gate(c[0], rnd)]
-            if not pool:
-                continue
-            best = min(pool, key=lambda c: priority(*c))
-            lst.remove(best)
-            waiting -= 1
-            tid, parent, child = best
-            sends.append(Send(rnd, parent, child, by_id[tid].message_id))
-            delivered.append((tid, child))
-        for tid, child in delivered:
-            arm(by_id[tid], child)
-        if not delivered and gate is None:
-            raise AssertionError("greedy routing stalled")  # cannot happen
+        for _, key, mid, root in release.pop(rnd, ()):
+            arm(key, mid, root, 0)
+        moved = []
+        for edge in list(waiting):
+            heap = waiting[edge]
+            moved.append(heapq.heappop(heap))
+            if not heap:
+                del waiting[edge]
+        for _, key, mid, parent, child, depth in moved:
+            sends.append(Send(rnd, parent, child, mid))
+            arm(key, mid, child, depth)
     return Schedule.from_sends(sends)
+
+
+def _route_instance(instance: MulticastInstance, start, value) -> Schedule:
+    """Route every tree of the instance; tree `tid` starts in round start(tid)."""
+    children = {t.tree_id: t.children for t in instance.trees}
+    return _route(
+        [(start(t.tree_id), t.tree_id, t.message_id, t.root) for t in instance.trees],
+        lambda tid, node, depth: children[tid].get(node, ()),
+        value,
+    )
 
 
 def greedy_schedule(instance: MulticastInstance) -> Schedule:
@@ -100,7 +105,9 @@ def greedy_schedule(instance: MulticastInstance) -> Schedule:
                 height[(t.tree_id, p)] = max(
                     height[(t.tree_id, p)], height[(t.tree_id, v)] + 1
                 )
-    return _route_trees(instance, lambda tid, p, c: (-height[(tid, c)], tid))
+    return _route_instance(
+        instance, lambda tid: 1, lambda tid, c, depth: -height[(tid, c)]
+    )
 
 
 def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
@@ -110,47 +117,9 @@ def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
     delay = {
         t.tree_id: rng.randrange(max(1, metrics.congestion)) for t in instance.trees
     }
-    depth = {t.tree_id: t.depth for t in instance.trees}
-    return _route_trees(
-        instance,
-        lambda tid, p, c: (delay[tid] + depth[tid][c], tid),
-        gate=lambda tid, rnd: rnd > delay[tid],
+    return _route_instance(
+        instance, lambda tid: delay[tid] + 1, lambda tid, c, depth: delay[tid] + depth
     )
-
-
-def _route_paths(jobs, delays) -> tuple[list[Send], int]:
-    """Unicast jobs (job_id, message_id, node path) with per-job start delays.
-
-    Farthest-to-go priority; one packet per edge per round; a packet advances
-    at most one hop per round. Returns (sends, length).
-    """
-    pos = {j[0]: 0 for j in jobs}
-    path = {j[0]: j[2] for j in jobs}
-    msg = {j[0]: j[1] for j in jobs}
-    active = {j[0] for j in jobs if len(j[2]) > 1}
-    sends: list[Send] = []
-    rnd = 0
-    while active:
-        rnd += 1
-        requests: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for jid in active:
-            if rnd <= delays[jid]:
-                continue
-            p = path[jid]
-            i = pos[jid]
-            requests[norm_edge(p[i], p[i + 1])].append(jid)
-        moved = []
-        for edge, pool in requests.items():
-            win = min(pool, key=lambda j: (-(len(path[j]) - 1 - pos[j]), j))
-            p = path[win]
-            i = pos[win]
-            sends.append(Send(rnd, p[i], p[i + 1], msg[win]))
-            moved.append(win)
-        for jid in moved:
-            pos[jid] += 1
-            if pos[jid] == len(path[jid]) - 1:
-                active.discard(jid)
-    return sends, rnd
 
 
 def unicast_frame_schedule(frame_paths, graph, rng: random.Random) -> Schedule:
@@ -158,26 +127,35 @@ def unicast_frame_schedule(frame_paths, graph, rng: random.Random) -> Schedule:
 
     frame_paths: list of (source, node sequence, message_id). Random start
     delays in [0, C'); falls back to zero delays if the result ever exceeds
-    the C'*D' guarantee of plain greedy routing.
+    the C'*D' guarantee of plain greedy routing. On each edge the packet
+    with the most hops left goes first.
     """
-    jobs = []
-    for jid, (src, seq, mid) in enumerate(frame_paths):
+    seqs, mids = [], []
+    for src, seq, mid in frame_paths:
         seq = tuple(seq)
         if src != seq[0]:
             raise ValueError("source must head its path")
-        jobs.append((jid, mid, seq))
+        seqs.append(seq)
+        mids.append(mid)
     edge_load = Counter()
-    for _, _, seq in jobs:
+    for seq in seqs:
         for a, b in zip(seq, seq[1:]):
             edge_load[norm_edge(a, b)] += 1
     cprime = max(edge_load.values(), default=0)
-    dprime = max((len(j[2]) - 1 for j in jobs), default=0)
-    delays = {j[0]: rng.randrange(cprime) if cprime > 1 else 0 for j in jobs}
-    sends, length = _route_paths(jobs, delays)
-    if length > cprime * dprime:
-        sends, length = _route_paths(jobs, {j[0]: 0 for j in jobs})
-    assert length <= cprime * dprime or not jobs
-    return Schedule.from_sends(sends)
+    dprime = max((len(seq) - 1 for seq in seqs), default=0)
+
+    def route(delays):
+        return _route(
+            [(d + 1, jid, mids[jid], seqs[jid][0]) for jid, d in enumerate(delays)],
+            lambda jid, node, depth: seqs[jid][depth + 1 : depth + 2],
+            lambda jid, c, depth: depth - len(seqs[jid]),
+        )
+
+    schedule = route([rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs])
+    if schedule.declared_length > cprime * dprime:
+        schedule = route([0] * len(seqs))
+    assert schedule.declared_length <= cprime * dprime or not seqs
+    return schedule
 
 
 def _draw_offsets(instance, congestion: int, ell: int, seed: int) -> dict[int, int]:

@@ -1,4 +1,5 @@
-from collections import Counter
+import random
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,10 @@ from hypothesis import strategies as st
 
 from mcastsched import (
     Graph,
+    MulticastInstance,
+    Schedule,
     SeedSearchError,
+    Send,
     build_short_decompositions,
     compute_metrics,
     deterministic_schedule,
@@ -24,8 +28,6 @@ from mcastsched import (
     unicast_frame_schedule,
 )
 from conftest import shared_edge_instance
-
-import random
 
 
 # --- oracles ---------------------------------------------------------------
@@ -223,3 +225,217 @@ def test_deterministic_rejects_bad_budget():
     inst = gen_layered_instance(16, 2, 4, 0)
     with pytest.raises(ValueError):
         deterministic_schedule(inst, 0)
+
+
+# --- differential: the routing engine against the loops it replaced ---------
+# `_route_trees` (greedy, random-delay) and `_route_paths` (frame unicasts)
+# are the two round loops the single engine `_route` replaced, kept verbatim
+# as references together with the scheduler bodies that called them.
+
+def _route_trees(instance: MulticastInstance, priority, gate=None) -> Schedule:
+    """Forward every message down its tree, one packet per edge per round.
+
+    priority(tree_id, parent, child) orders candidates per edge (min wins);
+    gate(tree_id, round) may hold a tree back. Runs until every tree node
+    holds its tree's message.
+    """
+    candidates: dict[tuple[int, int], list[tuple[int, int, int]]] = defaultdict(list)
+    waiting = 0
+
+    def arm(tree, node):
+        nonlocal waiting
+        for c in tree.children.get(node, ()):
+            candidates[norm_edge(node, c)].append((tree.tree_id, node, c))
+            waiting += 1
+
+    for t in instance.trees:
+        arm(t, t.root)
+
+    by_id = instance.tree_by_id
+    sends = []
+    rnd = 0
+    while waiting:
+        rnd += 1
+        delivered = []
+        for edge in sorted(e for e, lst in candidates.items() if lst):
+            lst = candidates[edge]
+            pool = lst if gate is None else [c for c in lst if gate(c[0], rnd)]
+            if not pool:
+                continue
+            best = min(pool, key=lambda c: priority(*c))
+            lst.remove(best)
+            waiting -= 1
+            tid, parent, child = best
+            sends.append(Send(rnd, parent, child, by_id[tid].message_id))
+            delivered.append((tid, child))
+        for tid, child in delivered:
+            arm(by_id[tid], child)
+        if not delivered and gate is None:
+            raise AssertionError("greedy routing stalled")  # cannot happen
+    return Schedule.from_sends(sends)
+
+
+def reference_greedy(instance: MulticastInstance) -> Schedule:
+    """Per round and edge, forward the eligible message with the deepest
+    undelivered subtree below it; length is at most C*D."""
+    height: dict[tuple[int, int], int] = {}
+    for t in instance.trees:
+        for v in t.depth:
+            height[(t.tree_id, v)] = 0
+        for v in sorted(t.depth, key=lambda v: -t.depth[v]):
+            p = t.parent.get(v)
+            if p is not None:
+                height[(t.tree_id, p)] = max(
+                    height[(t.tree_id, p)], height[(t.tree_id, v)] + 1
+                )
+    return _route_trees(instance, lambda tid, p, c: (-height[(tid, c)], tid))
+
+
+def reference_random_delay(instance: MulticastInstance, seed: int) -> Schedule:
+    """Each tree waits a uniform delay in [0, C) and then forwards greedily."""
+    metrics = compute_metrics(instance)
+    rng = random.Random(seed)
+    delay = {
+        t.tree_id: rng.randrange(max(1, metrics.congestion)) for t in instance.trees
+    }
+    depth = {t.tree_id: t.depth for t in instance.trees}
+    return _route_trees(
+        instance,
+        lambda tid, p, c: (delay[tid] + depth[tid][c], tid),
+        gate=lambda tid, rnd: rnd > delay[tid],
+    )
+
+
+def _route_paths(jobs, delays) -> tuple[list[Send], int]:
+    """Unicast jobs (job_id, message_id, node path) with per-job start delays.
+
+    Farthest-to-go priority; one packet per edge per round; a packet advances
+    at most one hop per round. Returns (sends, length).
+    """
+    pos = {j[0]: 0 for j in jobs}
+    path = {j[0]: j[2] for j in jobs}
+    msg = {j[0]: j[1] for j in jobs}
+    active = {j[0] for j in jobs if len(j[2]) > 1}
+    sends: list[Send] = []
+    rnd = 0
+    while active:
+        rnd += 1
+        requests: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for jid in active:
+            if rnd <= delays[jid]:
+                continue
+            p = path[jid]
+            i = pos[jid]
+            requests[norm_edge(p[i], p[i + 1])].append(jid)
+        moved = []
+        for edge, pool in requests.items():
+            win = min(pool, key=lambda j: (-(len(path[j]) - 1 - pos[j]), j))
+            p = path[win]
+            i = pos[win]
+            sends.append(Send(rnd, p[i], p[i + 1], msg[win]))
+            moved.append(win)
+        for jid in moved:
+            pos[jid] += 1
+            if pos[jid] == len(path[jid]) - 1:
+                active.discard(jid)
+    return sends, rnd
+
+
+def reference_unicast_frame(frame_paths, rng: random.Random):
+    """`unicast_frame_schedule` as it was over `_route_paths`; also returns
+    whether the zero-delay fallback fired.
+
+    Schedule one frame's unicasts along their given paths.
+
+    frame_paths: list of (source, node sequence, message_id). Random start
+    delays in [0, C'); falls back to zero delays if the result ever exceeds
+    the C'*D' guarantee of plain greedy routing.
+    """
+    jobs = []
+    for jid, (src, seq, mid) in enumerate(frame_paths):
+        seq = tuple(seq)
+        if src != seq[0]:
+            raise ValueError("source must head its path")
+        jobs.append((jid, mid, seq))
+    edge_load = Counter()
+    for _, _, seq in jobs:
+        for a, b in zip(seq, seq[1:]):
+            edge_load[norm_edge(a, b)] += 1
+    cprime = max(edge_load.values(), default=0)
+    dprime = max((len(j[2]) - 1 for j in jobs), default=0)
+    delays = {j[0]: rng.randrange(cprime) if cprime > 1 else 0 for j in jobs}
+    sends, length = _route_paths(jobs, delays)
+    fell_back = length > cprime * dprime
+    if fell_back:
+        sends, length = _route_paths(jobs, {j[0]: 0 for j in jobs})
+    assert length <= cprime * dprime or not jobs
+    return Schedule.from_sends(sends), fell_back
+
+
+small_instances = st.one_of(
+    st.builds(
+        lambda n, k, depth, seed: gen_random_instance(n, k, min(depth, n - 1), seed),
+        st.integers(2, 30),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda n, c, depth, seed: gen_layered_instance(n, c, min(depth, n - 1), seed),
+        st.integers(2, 30),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(0, 10**6),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances)
+def test_greedy_matches_reference(inst):
+    assert greedy_schedule(inst) == reference_greedy(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances, seed=st.integers(0, 10**6))
+def test_random_delay_matches_reference(inst, seed):
+    assert random_delay_schedule(inst, seed) == reference_random_delay(inst, seed)
+
+
+def random_frame(rng, n, k, max_hops):
+    """k unicasts along the path graph 0-1-...-(n-1), either direction."""
+    paths = []
+    for m in range(k):
+        a = rng.randrange(n)
+        b = rng.randrange(max(0, a - max_hops), min(n, a + max_hops + 1))
+        step = 1 if b >= a else -1
+        seq = tuple(range(a, b + step, step))
+        paths.append((a, seq, m % 3))  # messages may repeat across jobs
+    return paths
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    k=st.integers(0, 10),
+    max_hops=st.integers(0, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_unicast_frame_matches_reference(n, k, max_hops, seed):
+    paths = random_frame(random.Random(seed), n, k, max_hops)
+    want, _ = reference_unicast_frame(paths, random.Random(seed))
+    assert unicast_frame_schedule(paths, path_graph(n), random.Random(seed)) == want
+
+
+def test_unicast_frame_matches_reference_when_fallback_fires():
+    """Short, crowded frames whose random delays overshoot C'*D', so the
+    zero-delay fallback runs; the rng must be left in the same state too."""
+    fired = 0
+    for seed in range(200):
+        paths = random_frame(random.Random(seed), 3, 4, 1)
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        want, fell_back = reference_unicast_frame(paths, ref_rng)
+        assert unicast_frame_schedule(paths, path_graph(3), rng) == want
+        assert rng.random() == ref_rng.random()
+        fired += fell_back
+    assert fired >= 10  # 17 of the 200 frames
