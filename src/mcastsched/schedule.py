@@ -37,7 +37,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # capacity | sender_missing | off_tree | unknown_message | bad_round
+    kind: str  # capacity | not_in_graph | off_tree | sender_missing | unknown_message | bad_round
     round: int
     detail: str
 
@@ -59,6 +59,7 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
     held by the receiver from the start of round t+1.
     """
     by_msg = instance.tree_by_message
+    graph_edges = instance.graph.edges
     holds: dict[int, set[int]] = defaultdict(set)
     remaining: dict[int, set[int]] = {}
     completion: dict[int, int] = {}
@@ -94,17 +95,21 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
                     Violation("unknown_message", r, f"message {s.message_id}: {s}")
                 )
                 continue
-            if s.edge in used_edges:
+            edge = s.edge
+            if edge in used_edges:
                 violations.append(
-                    Violation("capacity", r, f"edge {s.edge} used twice in round {r}")
+                    Violation("capacity", r, f"edge {edge} used twice in round {r}")
                 )
                 continue
-            used_edges.add(s.edge)
-            if s.edge not in tree.edges:
+            used_edges.add(edge)
+            if edge not in graph_edges:
                 violations.append(
-                    Violation(
-                        "off_tree", r, f"edge {s.edge} not in tree {tree.tree_id}"
-                    )
+                    Violation("not_in_graph", r, f"edge {edge} not in the host graph")
+                )
+                continue
+            if edge not in tree.edges:
+                violations.append(
+                    Violation("off_tree", r, f"edge {edge} not in tree {tree.tree_id}")
                 )
                 continue
             if s.message_id not in holds[s.u]:

@@ -12,6 +12,7 @@ from mcastsched import (
     schedule_from_json,
     schedule_to_json,
     simulate,
+    validate_instance,
 )
 
 
@@ -70,6 +71,20 @@ def test_off_tree_and_unknown_message_flagged():
     assert any(v.kind == "off_tree" for v in report.violations)
     report = simulate(inst, Schedule.from_sends([Send(1, 0, 1, 99)]))
     assert any(v.kind == "unknown_message" for v in report.violations)
+
+
+def test_link_missing_from_host_graph_flagged():
+    """Tree 0->1->2 over a graph that lacks (1,2): validate_instance flags the
+    instance, and the replay flags the send greedy makes over that link."""
+    inst = MulticastInstance.build(
+        Graph.build(3, [(0, 1)]), [MulticastTree(0, 0, {1: 0, 2: 1}, 0)]
+    )
+    assert validate_instance(inst)
+    sched = greedy_schedule(inst)
+    assert Send(2, 1, 2, 0) in sched.sends
+    report = simulate(inst, sched)
+    assert not report.valid
+    assert [(v.kind, v.round) for v in report.violations] == [("not_in_graph", 2)]
 
 
 def test_bad_round_flagged():
