@@ -212,8 +212,9 @@ def _make_params(instance, chunk_length, bit_factor) -> _Params:
     return p
 
 
-def tree_offsets(instance, seed: int, span: int) -> dict[int, int]:
-    """Shared-randomness offsets: every node derives the same X_T locally."""
+def tree_offsets(instance, seed: int | str, span: int) -> dict[int, int]:
+    """Shared-randomness offsets in [0, span): every node derives the same
+    X_T locally, from the string f"{seed}:{tree id}"."""
     return {
         t.tree_id: random.Random(f"{seed}:{t.tree_id}").randrange(max(1, span))
         for t in instance.trees
@@ -351,7 +352,13 @@ class _RankProgram(_PhaseProgram):
 
 class _PreferredProgram(_PhaseProgram):
     """Downward notification, one tagged bit per (tree, child): whether the
-    child's edge is the parent's preferred (highest-rank) edge."""
+    child's edge is the parent's preferred (highest-rank) edge.
+
+    Nothing reads the bits on arrival: the refine phase takes the preferred
+    child from the parent's side, which the rank phase already knows. The
+    phase still runs because the paper's algorithm sends these bits, and
+    their rounds and bits are part of the reported CONGEST cost. A node only
+    counts them, to know when it is done."""
 
     def __init__(
         self, node, view, edge_trees, params, offsets, preferred: dict[int, int]
@@ -359,7 +366,6 @@ class _PreferredProgram(_PhaseProgram):
         super().__init__(node, view, edge_trees, params, offsets)
         self.preferred = preferred  # tid -> preferred child, from the rank phase
         self.expect = 0  # parent-edge bits still to arrive
-        self.preferred_edge = {}  # tid -> own parent edge preferred?
         for tid, (parent, children) in view.items():
             if children:
                 self.hold(tid)
@@ -369,13 +375,8 @@ class _PreferredProgram(_PhaseProgram):
     def step(self, frame, inbox):
         p = self.params
         width = p.idx_bits + 1
-        for nbr, payload in inbox.items():
-            trees = self.trees_on_edge(nbr)
-            for i in range(0, len(payload), width):
-                msg = payload[i : i + width]
-                tid = trees[int(msg[: p.idx_bits], 2)]
-                self.preferred_edge[tid] = msg[p.idx_bits] == "1"
-                self.expect -= 1
+        for payload in inbox.values():
+            self.expect -= len(payload) // width
         for tid in sorted(self.release(frame)):
             best = self.preferred[tid]
             for c in self.view[tid][1]:
@@ -587,10 +588,7 @@ def distributed_multicast(
 
     band = max(1, math.ceil(math.log2(max(2, n)) ** (2 + epsilon)))
     span = max(1, math.ceil(metrics.congestion / band))
-    offsets = {
-        t.tree_id: random.Random(f"{seed}:mc:{t.tree_id}").randrange(span)
-        for t in instance.trees
-    }
+    offsets = tree_offsets(instance, f"{seed}:mc", span)
     by_frame = defaultdict(list)  # frame -> (orig message, root, parent map)
     for t in instance.trees:
         for r, root, comp in _level_range_slices(t, band):

@@ -6,7 +6,7 @@ import heapq
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .decomposition import (
     PathDecomposition,
@@ -158,8 +158,8 @@ def unicast_frame_schedule(frame_paths, graph, rng: random.Random) -> Schedule:
     return schedule
 
 
-def _draw_offsets(instance, congestion: int, ell: int, seed: int) -> dict[int, int]:
-    rng = random.Random(seed)
+def _draw_offsets(instance, congestion: int, ell: int, rng: random.Random) -> dict[int, int]:
+    """Per-tree level offsets, uniform in [0, ceil(C / ell)), drawn from rng."""
     span = max(1, math.ceil(congestion / ell))
     return {t.tree_id: rng.randrange(span) for t in instance.trees}
 
@@ -196,9 +196,8 @@ def frame_schedule_from_decomps(
     """Shift each tree's chunk levels by a random offset and run the frames
     sequentially, each as a simultaneous-unicast sub-problem."""
     metrics = compute_metrics(instance)
-    rng = random.Random(seed)
-    span = max(1, math.ceil(metrics.congestion / ell))
-    offsets = {t.tree_id: rng.randrange(span) for t in instance.trees}
+    rng = random.Random(seed)  # draws the offsets, then every frame's delays
+    offsets = _draw_offsets(instance, metrics.congestion, ell, rng)
     assignment = _assignment(instance, decomps, ell, offsets)
 
     by_frame: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -281,7 +280,7 @@ def deterministic_schedule(
     decomps = build_short_decompositions(instance, ell)
     best_seed, best_cong = -1, None
     for seed in range(seed_cap):
-        offsets = _draw_offsets(instance, metrics.congestion, ell, seed)
+        offsets = _draw_offsets(instance, metrics.congestion, ell, random.Random(seed))
         profile = frame_congestion_profile(
             instance, _assignment(instance, decomps, ell, offsets)
         )

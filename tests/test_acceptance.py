@@ -10,6 +10,7 @@ nodes cannot be deeper) and keep the congestion target.
 """
 
 import math
+import random
 import time
 
 import pytest
@@ -259,7 +260,7 @@ def test_criterion_07_frame_concentration(concentration_suite):
         from mcastsched.schedulers import _assignment, _draw_offsets
 
         for seed in range(10):
-            offsets = _draw_offsets(inst, m.congestion, ell, seed)
+            offsets = _draw_offsets(inst, m.congestion, ell, random.Random(seed))
             profile = frame_congestion_profile(
                 inst, _assignment(inst, decomps, ell, offsets)
             )
