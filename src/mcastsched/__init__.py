@@ -24,7 +24,6 @@ from .decomposition import (
     ShortReport,
     compute_ranks,
     decomposition_to_json,
-    default_chunk_length,
     heavy_path_decomposition,
     rank_decomposition,
     shorten,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import MulticastTree, log2_ceil, norm_edge
+from .model import MulticastTree, norm_edge
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,6 @@ def verify_short(
         worst = max(worst, len(met))
     bound = tree.max_depth / ell + k
     return ShortReport(worst, bound, worst <= bound)
-
-
-def default_chunk_length(node_count: int) -> int:
-    return log2_ceil(node_count)
 
 
 def decomposition_to_json(decomposition: PathDecomposition) -> str:
