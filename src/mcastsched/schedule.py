@@ -37,7 +37,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # capacity | not_in_graph | off_tree | sender_missing | unknown_message | bad_round
+    kind: str  # capacity | sender_missing | off_tree | not_in_graph | unknown_message | bad_round
     round: int
     detail: str
 

@@ -158,7 +158,9 @@ def unicast_frame_schedule(frame_paths, graph, rng: random.Random) -> Schedule:
     return schedule
 
 
-def _draw_offsets(instance, congestion: int, ell: int, rng: random.Random) -> dict[int, int]:
+def _draw_offsets(
+    instance, congestion: int, ell: int, rng: random.Random
+) -> dict[int, int]:
     """Per-tree level offsets, uniform in [0, ceil(C / ell)), drawn from rng."""
     span = max(1, math.ceil(congestion / ell))
     return {t.tree_id: rng.randrange(span) for t in instance.trees}
