@@ -24,7 +24,7 @@ from .decomposition import (
     decomposition_to_json,
     heavy_path_decomposition,
     rank_decomposition,
-    shorten,
+    short_decomposition,
     verify_short,
 )
 from .lowerbound import (
@@ -292,7 +292,9 @@ def cmd_decompose(instance_file, tree_id, kind, ell):
     else:
         if ell is None:
             ell = log2_ceil(instance.graph.node_count)
-        dec = shorten(heavy_path_decomposition(tree), ell)
+        if ell < 1:
+            _fail("--ell must be >= 1")
+        dec = short_decomposition(tree, ell)  # the chunks the frames scheduler uses
         report = verify_short(dec, tree, ell, log2_ceil(instance.graph.node_count) + 1)
         click.echo(
             f"max_intersections={report.max_intersections} bound={report.bound:.2f}",

@@ -8,13 +8,14 @@ import random
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
-from .decomposition import PathDecomposition, RankMap, _levels
+from .decomposition import PathDecomposition, RankMap
 from .model import (
     Graph,
     MulticastInstance,
     MulticastTree,
     compute_metrics,
     log2_ceil,
+    norm_edge,
 )
 from .schedule import Schedule, Send
 from .schedulers import frame_multicast_schedule, frame_schedule_from_decomps
@@ -451,24 +452,28 @@ class DistributedDecomposition:
 def _assemble_chunks(tree, preferred, counter) -> PathDecomposition:
     """Rebuild the chunked paths from per-node counters: an edge whose child
     counter is zero opens a chunk; the chunk follows preferred edges until
-    the counter wraps."""
-    chunks = []
+    the counter wraps. Chunks open in tree.depth order (parents first), so
+    the chunk entering a chunk's top node is already built: the new chunk's
+    level is that chunk's plus 1 (1 at the root)."""
+    chunks, edge_to_path, level = [], {}, {}
     for u in tree.depth:
         if u == tree.root or counter[u] != 0:
             continue
-        seq = [tree.parent[u], u]
-        cur = u
-        while True:
-            nxt = preferred.get(cur)
-            if nxt is None or counter[nxt] == 0:
-                break
-            seq.append(nxt)
-            cur = nxt
-        chunks.append(seq)
-    edge_to_path, level = _levels(chunks)
-    return PathDecomposition(
-        tuple(tuple(c) for c in chunks), edge_to_path, level, "short-refined"
-    )
+        top = tree.parent[u]
+        pid = len(chunks)
+        level[pid] = (
+            1 if top == tree.root
+            else level[edge_to_path[norm_edge(tree.parent[top], top)]] + 1
+        )
+        seq = [top, u]
+        edge_to_path[norm_edge(top, u)] = pid
+        cur = preferred.get(u)
+        while cur is not None and counter[cur] != 0:
+            edge_to_path[norm_edge(seq[-1], cur)] = pid
+            seq.append(cur)
+            cur = preferred.get(cur)
+        chunks.append(tuple(seq))
+    return PathDecomposition(tuple(chunks), edge_to_path, level, "short-refined")
 
 
 def distributed_rank_decomposition(
@@ -574,8 +579,13 @@ def distributed_multicast(
 
     With depths_known, trees are sliced into ranges of L = ceil(log2(n)^(2+eps))
     consecutive levels, delayed by X_T time frames, and each frame's slices are
-    multicast with the frame scheduler. Without it, the distributed rank
-    decomposition runs first and the schedule is built over its chunks.
+    multicast with the frame scheduler. When C and D are both <= L
+    (ceil(log2(n)^2.25) at the default eps), every tree is one slice and every
+    delay is 0, so this comes down to one `frame_multicast_schedule` call, at
+    seed `seed * 7919`, on a copy of the instance whose trees are renumbered
+    0, 1, ... (messages mapped back afterwards). Without depths_known, the
+    distributed rank decomposition runs first and the schedule is built over
+    its chunks.
     """
     n = instance.graph.node_count
     metrics = compute_metrics(instance)

@@ -31,26 +31,6 @@ class RankMap:
     rank: dict[int, int]
 
 
-def _chain_paths(tree: MulticastTree, preferred: dict[int, int]) -> list[list[int]]:
-    """Paths from a preferred-child map: maximal preferred chains, each
-    extended upward by the top node's parent edge (if any)."""
-    paths = []
-    for v in tree.depth:
-        is_top = v == tree.root or preferred.get(tree.parent[v]) != v
-        if not is_top:
-            continue
-        chain = [v]
-        cur = v
-        while cur in preferred:
-            cur = preferred[cur]
-            chain.append(cur)
-        if v != tree.root:
-            chain.insert(0, tree.parent[v])
-        if len(chain) >= 2:
-            paths.append(chain)
-    return paths
-
-
 def _levels(paths: list[list[int]]) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
     """edge->path map and per-path levels, reconstructed from the paths alone."""
     edge_to_path: dict[tuple[int, int], int] = {}
@@ -78,36 +58,75 @@ def _levels(paths: list[list[int]]) -> tuple[dict[tuple[int, int], int], dict[in
     return edge_to_path, level
 
 
-def _build(tree: MulticastTree, preferred: dict[int, int], kind: str) -> PathDecomposition:
-    paths = _chain_paths(tree, preferred)
-    edge_to_path, level = _levels(paths)
-    return PathDecomposition(
-        tuple(tuple(p) for p in paths), edge_to_path, level, kind
-    )
+def _decompose(
+    tree: MulticastTree, weight: dict[int, int], ell: int | None, kind: str
+) -> PathDecomposition:
+    """Preferred-chain decomposition in one top-down walk over tree.depth,
+    which lists every parent before its children.
+
+    A node's preferred child is its child of largest weight, ties toward the
+    smallest id. A chain starts at the root or at a non-preferred child, takes
+    its top node's parent edge, and follows preferred children; it is cut into
+    chunks of at most ell edges as it is walked (ell None: no cut). A chunk's
+    level is 1 + the level of the chunk that enters its top node (0 at the
+    root). Chunks come out chain by chain, each chain at the place in
+    tree.depth of the node that starts it.
+    """
+    children, parent, root = tree.children, tree.parent, tree.root
+    preferred = {  # children are sorted, and max keeps the first of a tie
+        v: max(ch, key=weight.__getitem__)
+        for v in tree.depth
+        if (ch := children.get(v))
+    }
+    cut = ell or len(tree.depth)
+    paths: list[tuple[int, ...]] = []
+    edge_to_path: dict[tuple[int, int], int] = {}
+    level: dict[int, int] = {}
+    for v in tree.depth:
+        if v == root:
+            prev, cur, lvl = root, preferred.get(root), 1
+        elif preferred[parent[v]] == v:
+            continue
+        else:
+            prev, cur = parent[v], v
+            lvl = 1
+            if prev != root:  # below the level of the chunk entering prev
+                lvl += level[edge_to_path[norm_edge(parent[prev], prev)]]
+        if cur is None:
+            continue
+        pid, chunk = len(paths), [prev]
+        while cur is not None:
+            if len(chunk) > cut:
+                paths.append(tuple(chunk))
+                level[pid] = lvl
+                pid, lvl, chunk = pid + 1, lvl + 1, [prev]
+            chunk.append(cur)
+            edge_to_path[norm_edge(prev, cur)] = pid
+            prev, cur = cur, preferred.get(cur)
+        paths.append(tuple(chunk))
+        level[pid] = lvl
+    return PathDecomposition(tuple(paths), edge_to_path, level, kind)
 
 
 def heavy_path_decomposition(tree: MulticastTree) -> PathDecomposition:
     """Each non-leaf's heavy edge goes to the child with the largest subtree,
     ties broken toward the smallest child id."""
-    size = tree.subtree_sizes()
-    preferred = {}
-    for v in tree.depth:
-        ch = tree.children.get(v)
-        if ch:
-            preferred[v] = max(ch, key=lambda c: (size[c], -c))
-    return _build(tree, preferred, "heavy")
+    return _decompose(tree, tree.subtree_sizes(), None, "heavy")
+
+
+def short_decomposition(tree: MulticastTree, ell: int) -> PathDecomposition:
+    """The heavy-path decomposition with every path cut top-down into chunks
+    of at most ell edges: `shorten(heavy_path_decomposition(tree), ell)`,
+    built in one walk."""
+    if ell < 1:
+        raise ValueError("chunk length must be >= 1")
+    return _decompose(tree, tree.subtree_sizes(), ell, "short-refined")
 
 
 def compute_ranks(tree: MulticastTree) -> RankMap:
     """Leaf rank 0; internal rank is the max child rank, +1 when the max is tied."""
-    order = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(tree.children.get(v, ()))
     rank: dict[int, int] = {}
-    for v in reversed(order):
+    for v in reversed(tree.depth):  # children before their parents
         ch = tree.children.get(v)
         if not ch:
             rank[v] = 0
@@ -121,12 +140,7 @@ def compute_ranks(tree: MulticastTree) -> RankMap:
 def rank_decomposition(tree: MulticastTree) -> tuple[PathDecomposition, RankMap]:
     """Preferred edge goes to a child of highest rank, ties toward smallest id."""
     ranks = compute_ranks(tree)
-    preferred = {}
-    for v in tree.depth:
-        ch = tree.children.get(v)
-        if ch:
-            preferred[v] = max(ch, key=lambda c: (ranks.rank[c], -c))
-    return _build(tree, preferred, "rank"), ranks
+    return _decompose(tree, ranks.rank, None, "rank"), ranks
 
 
 def shorten(decomposition: PathDecomposition, ell: int) -> PathDecomposition:

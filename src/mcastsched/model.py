@@ -66,11 +66,16 @@ class MulticastTree:
 
     @cached_property
     def children(self) -> dict[int, list[int]]:
+        """Sorted children of each node. A parent entry for the root (which
+        `validate_instance` reports) is left out, so no walk down from the
+        root can come back to it."""
         ch: dict[int, list[int]] = {self.root: []}
         for c, p in self.parent.items():
             ch.setdefault(p, [])
             ch.setdefault(c, [])
             ch[p].append(c)
+        if self.root in self.parent:
+            ch[self.parent[self.root]].remove(self.root)
         for v in ch:
             ch[v].sort()
         return ch
@@ -112,16 +117,11 @@ class MulticastTree:
         )
 
     def subtree_sizes(self) -> dict[int, int]:
-        """Node count of each subtree (the node itself included), post-order."""
-        order = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(self.children.get(v, ()))
-        size = {}
-        for v in reversed(order):
-            size[v] = 1 + sum(size[c] for c in self.children.get(v, ()))
+        """Node count of each subtree (the node itself included)."""
+        size = dict.fromkeys(self.depth, 1)
+        for v in reversed(self.depth):  # children before their parents
+            if v != self.root:
+                size[self.parent[v]] += size[v]
         return size
 
 

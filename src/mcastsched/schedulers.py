@@ -7,12 +7,9 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import starmap
 
-from .decomposition import (
-    PathDecomposition,
-    heavy_path_decomposition,
-    shorten,
-)
+from .decomposition import PathDecomposition, short_decomposition
 from .model import MulticastInstance, compute_metrics, log2_ceil, norm_edge
 from .schedule import Schedule, Send
 
@@ -53,6 +50,7 @@ def _route(sources, below, value) -> Schedule:
     `key`; a unicast path is a chain whose node at depth d is seq[d]. In each
     round each edge forwards its candidate hop of least (value(key, child,
     depth of child), key), and the child forwards from the next round on.
+    Rounds before the first start round are skipped.
     """
     release = defaultdict(list)
     for source in sources:
@@ -64,8 +62,8 @@ def _route(sources, below, value) -> Schedule:
             hop = (value(key, c, depth + 1), key, mid, node, c, depth + 1)
             heapq.heappush(waiting.setdefault(norm_edge(node, c), []), hop)
 
-    sends = []
-    rnd, last_start = 0, max(release, default=0)
+    sends = []  # (round, u, v, message id): one send per edge and round
+    rnd, last_start = min(release, default=1) - 1, max(release, default=0)
     while waiting or rnd < last_start:
         rnd += 1
         for _, key, mid, root in release.pop(rnd, ()):
@@ -77,9 +75,10 @@ def _route(sources, below, value) -> Schedule:
             if not heap:
                 del waiting[edge]
         for _, key, mid, parent, child, depth in moved:
-            sends.append(Send(rnd, parent, child, mid))
+            sends.append((rnd, parent, child, mid))
             arm(key, mid, child, depth)
-    return Schedule.from_sends(sends)
+    sends.sort()
+    return Schedule(tuple(starmap(Send, sends)), sends[-1][0] if sends else 0)
 
 
 def _route_instance(instance: MulticastInstance, start, value) -> Schedule:
@@ -122,13 +121,16 @@ def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
     )
 
 
-def unicast_frame_schedule(frame_paths, graph, rng: random.Random) -> Schedule:
+def unicast_frame_schedule(
+    frame_paths, graph, rng: random.Random, start: int = 0
+) -> Schedule:
     """Schedule one frame's unicasts along their given paths.
 
     frame_paths: list of (source, node sequence, message_id). Random start
     delays in [0, C'); falls back to zero delays if the result ever exceeds
     the C'*D' guarantee of plain greedy routing. On each edge the packet
-    with the most hops left goes first.
+    with the most hops left goes first. The frame begins after round
+    `start`: its sends fall in rounds start + 1, start + 2, ...
     """
     seqs, mids = [], []
     for src, seq, mid in frame_paths:
@@ -146,15 +148,18 @@ def unicast_frame_schedule(frame_paths, graph, rng: random.Random) -> Schedule:
 
     def route(delays):
         return _route(
-            [(d + 1, jid, mids[jid], seqs[jid][0]) for jid, d in enumerate(delays)],
+            [
+                (start + d + 1, jid, mids[jid], seqs[jid][0])
+                for jid, d in enumerate(delays)
+            ],
             lambda jid, node, depth: seqs[jid][depth + 1 : depth + 2],
             lambda jid, c, depth: depth - len(seqs[jid]),
         )
 
     schedule = route([rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs])
-    if schedule.declared_length > cprime * dprime:
+    if schedule.declared_length - start > cprime * dprime:
         schedule = route([0] * len(seqs))
-    assert schedule.declared_length <= cprime * dprime or not seqs
+    assert schedule.declared_length - start <= cprime * dprime or not seqs
     return schedule
 
 
@@ -170,7 +175,7 @@ def build_short_decompositions(
     instance: MulticastInstance, ell: int
 ) -> dict[int, PathDecomposition]:
     return {
-        t.tree_id: shorten(heavy_path_decomposition(t), ell)
+        t.tree_id: short_decomposition(t, ell)
         for t in instance.trees
         if t.max_depth > 0
     }
@@ -196,7 +201,8 @@ def frame_schedule_from_decomps(
     fixed_frame_length: int | None = None,
 ) -> tuple[Schedule, FrameAssignment]:
     """Shift each tree's chunk levels by a random offset and run the frames
-    sequentially, each as a simultaneous-unicast sub-problem."""
+    sequentially, each as a simultaneous-unicast sub-problem routed from the
+    round where the previous frame ended."""
     metrics = compute_metrics(instance)
     rng = random.Random(seed)  # draws the offsets, then every frame's delays
     offsets = _draw_offsets(instance, metrics.congestion, ell, rng)
@@ -219,21 +225,21 @@ def frame_schedule_from_decomps(
                     f"chunk top {seq[0]} of tree {tid} not delivered before frame {f}"
                 )
             paths.append((seq[0], seq, by_id[tid].message_id))
-        frag = unicast_frame_schedule(paths, instance.graph, rng)
-        for s in frag.sends:
-            sends.append(Send(s.round + clock, s.u, s.v, s.message_id))
+        frag = unicast_frame_schedule(paths, instance.graph, rng, clock)
+        sends.extend(frag.sends)  # rounds after the clock, in (round, u, v) order
+        length = max(frag.declared_length - clock, 0)
         if fixed_frame_length is not None:
-            if frag.declared_length > fixed_frame_length:
+            if length > fixed_frame_length:
                 raise ValueError(
-                    f"frame {f} needs {frag.declared_length} rounds, "
+                    f"frame {f} needs {length} rounds, "
                     f"over the fixed frame length {fixed_frame_length}"
                 )
             clock += fixed_frame_length
         else:
-            clock += frag.declared_length
+            clock += length
         for tid, pidx in by_frame[f]:
             delivered[tid].update(decomps[tid].paths[pidx])
-    return Schedule.from_sends(sends), assignment
+    return Schedule(tuple(sends), sends[-1].round if sends else 0), assignment
 
 
 def frame_multicast_schedule(

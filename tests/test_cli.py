@@ -7,11 +7,14 @@ from click.testing import CliRunner
 
 import mcastsched.congest as congest_module
 from mcastsched import (
+    build_short_decompositions,
     compute_metrics,
+    decomposition_to_json,
     distributed_multicast,
     distributed_rank_decomposition,
     instance_from_json,
     instance_to_json,
+    log2_ceil,
     schedule_from_json,
     simulate,
 )
@@ -138,6 +141,25 @@ def test_decompose_outputs_json(runner, tmp_path):
         assert set(doc) == {"paths", "levels"}
     res = runner.invoke(main, ["decompose", str(inst_file), "--tree", "99"])
     assert res.exit_code == 1
+
+
+def test_decompose_short_prints_the_frames_chunks(runner, tmp_path):
+    inst_file = tmp_path / "inst.json"
+    runner.invoke(
+        main,
+        ["gen", "random", "--n", "200", "--trees", "3", "--depth", "9",
+         "--seed", "2", "-o", str(inst_file)],
+    )
+    inst = instance_from_json(inst_file.read_text())
+    for ell in (None, 1, 2):
+        args = ["decompose", str(inst_file), "--tree", "1", "--kind", "short"]
+        res = runner.invoke(main, args + ([] if ell is None else ["--ell", str(ell)]))
+        assert res.exit_code == 0, res.output
+        chunks = build_short_decompositions(inst, ell or log2_ceil(200))[1]
+        assert res.output.splitlines()[-1] == decomposition_to_json(chunks)
+    res = runner.invoke(main, args + ["--ell", "0"])
+    assert res.exit_code == 1
+    assert "error:" in res.output
 
 
 def test_opt_command(runner, tmp_path):

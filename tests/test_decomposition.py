@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from mcastsched import (
     MulticastTree,
+    PathDecomposition,
+    RankMap,
     compute_ranks,
     decomposition_to_json,
     heavy_path_decomposition,
     norm_edge,
     rank_decomposition,
+    short_decomposition,
     shorten,
     verify_short,
 )
@@ -173,6 +176,8 @@ def test_shorten_levels_count_paths_above():
 def test_shorten_rejects_bad_ell():
     with pytest.raises(ValueError):
         shorten(heavy_path_decomposition(caterpillar()), 0)
+    with pytest.raises(ValueError):
+        short_decomposition(caterpillar(), 0)
 
 
 def test_decomposition_json():
@@ -180,3 +185,185 @@ def test_decomposition_json():
     doc = json.loads(decomposition_to_json(dec))
     assert set(doc) == {"paths", "levels"}
     assert len(doc["paths"]) == len(doc["levels"]) == len(dec.paths)
+
+
+def test_root_with_parent_decomposes_its_edge_once():
+    # the root's parent entry (which validate_instance reports) is ignored
+    t = MulticastTree(0, 0, {0: 1, 1: 0}, 0)
+    assert t.children == {0: [1], 1: []}
+    for dec in (
+        heavy_path_decomposition(t),
+        rank_decomposition(t)[0],
+        short_decomposition(t, 1),
+    ):
+        assert dec.paths == ((0, 1),) and dec.level == {0: 1}
+
+
+# --- differential: the one-walk decompositions against the code they replaced
+# `_chain_paths`, `_levels`, `_build`, `heavy_path_decomposition`,
+# `compute_ranks`, `rank_decomposition` and `shorten` as they were before
+# chains were cut and levelled in one walk over `tree.depth`, kept verbatim
+# (only the public names carry a `reference_` prefix).
+
+def _chain_paths(tree: MulticastTree, preferred: dict[int, int]) -> list[list[int]]:
+    """Paths from a preferred-child map: maximal preferred chains, each
+    extended upward by the top node's parent edge (if any)."""
+    paths = []
+    for v in tree.depth:
+        is_top = v == tree.root or preferred.get(tree.parent[v]) != v
+        if not is_top:
+            continue
+        chain = [v]
+        cur = v
+        while cur in preferred:
+            cur = preferred[cur]
+            chain.append(cur)
+        if v != tree.root:
+            chain.insert(0, tree.parent[v])
+        if len(chain) >= 2:
+            paths.append(chain)
+    return paths
+
+
+def _levels(paths: list[list[int]]) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+    """edge->path map and per-path levels, reconstructed from the paths alone."""
+    edge_to_path: dict[tuple[int, int], int] = {}
+    parent: dict[int, int] = {}
+    for i, p in enumerate(paths):
+        for a, b in zip(p, p[1:]):
+            edge_to_path[norm_edge(a, b)] = i
+            parent[b] = a
+    roots = {p[0] for p in paths} - set(parent)
+    level: dict[int, int] = {}
+    # paths-above count per node, walking top-down from each root
+    children: dict[int, list[int]] = {}
+    for c, p in parent.items():
+        children.setdefault(p, []).append(c)
+    for root in roots:
+        stack = [(root, 0, None)]  # node, paths met so far, path of edge above
+        while stack:
+            v, count, above = stack.pop()
+            for c in children.get(v, ()):
+                pid = edge_to_path[norm_edge(v, c)]
+                ccount = count + (1 if pid != above else 0)
+                if pid not in level or ccount < level[pid]:
+                    level[pid] = ccount
+                stack.append((c, ccount, pid))
+    return edge_to_path, level
+
+
+def _build(tree: MulticastTree, preferred: dict[int, int], kind: str) -> PathDecomposition:
+    paths = _chain_paths(tree, preferred)
+    edge_to_path, level = _levels(paths)
+    return PathDecomposition(
+        tuple(tuple(p) for p in paths), edge_to_path, level, kind
+    )
+
+
+def reference_heavy_path_decomposition(tree: MulticastTree) -> PathDecomposition:
+    """Each non-leaf's heavy edge goes to the child with the largest subtree,
+    ties broken toward the smallest child id."""
+    size = tree.subtree_sizes()
+    preferred = {}
+    for v in tree.depth:
+        ch = tree.children.get(v)
+        if ch:
+            preferred[v] = max(ch, key=lambda c: (size[c], -c))
+    return _build(tree, preferred, "heavy")
+
+
+def reference_compute_ranks(tree: MulticastTree) -> RankMap:
+    """Leaf rank 0; internal rank is the max child rank, +1 when the max is tied."""
+    order = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(tree.children.get(v, ()))
+    rank: dict[int, int] = {}
+    for v in reversed(order):
+        ch = tree.children.get(v)
+        if not ch:
+            rank[v] = 0
+        else:
+            top = max(rank[c] for c in ch)
+            ties = sum(1 for c in ch if rank[c] == top)
+            rank[v] = top + 1 if ties > 1 else top
+    return RankMap(rank)
+
+
+def reference_rank_decomposition(tree: MulticastTree) -> tuple[PathDecomposition, RankMap]:
+    """Preferred edge goes to a child of highest rank, ties toward smallest id."""
+    ranks = reference_compute_ranks(tree)
+    preferred = {}
+    for v in tree.depth:
+        ch = tree.children.get(v)
+        if ch:
+            preferred[v] = max(ch, key=lambda c: (ranks.rank[c], -c))
+    return _build(tree, preferred, "rank"), ranks
+
+
+def reference_shorten(decomposition: PathDecomposition, ell: int) -> PathDecomposition:
+    """Cut each path top-down into chunks of at most ell edges."""
+    if ell < 1:
+        raise ValueError("chunk length must be >= 1")
+    chunks: list[tuple[int, ...]] = []
+    for p in decomposition.paths:
+        length = len(p) - 1
+        for i in range(0, length, ell):
+            chunks.append(tuple(p[i : i + ell + 1]))
+    edge_to_path, level = _levels([list(c) for c in chunks])
+    return PathDecomposition(tuple(chunks), edge_to_path, level, "short-refined")
+
+
+def reference_subtree_sizes(tree: MulticastTree) -> dict[int, int]:
+    """`MulticastTree.subtree_sizes` as it was: a stack walk, then post-order."""
+    order = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(tree.children.get(v, ()))
+    size = {}
+    for v in reversed(order):
+        size[v] = 1 + sum(size[c] for c in tree.children.get(v, ()))
+    return size
+
+
+def assert_same(got: PathDecomposition, want: PathDecomposition):
+    assert got.paths == want.paths
+    assert got.level == want.level
+    assert got.edge_to_path == want.edge_to_path
+    assert got.kind == want.kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 150), ell=st.integers(1, 8), seed=st.integers(0, 10**6))
+def test_one_walk_matches_reference(n, ell, seed):
+    tree = random_tree(n, seed)
+    assert tree.subtree_sizes() == reference_subtree_sizes(tree)
+    heavy = reference_heavy_path_decomposition(tree)
+    assert_same(heavy_path_decomposition(tree), heavy)
+    got, ranks = rank_decomposition(tree)
+    want, want_ranks = reference_rank_decomposition(tree)
+    assert_same(got, want)
+    assert ranks == want_ranks
+    assert_same(short_decomposition(tree, ell), reference_shorten(heavy, ell))
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "broom"])
+@pytest.mark.parametrize("ell", [1, 2, 3, 7])
+def test_one_walk_matches_reference_on_extreme_shapes(shape, ell):
+    n = 40
+    if shape == "path":  # one long chain: many chunks of one path
+        parent = {v: v - 1 for v in range(1, n)}
+    elif shape == "star":  # every child ties: the smallest id is preferred
+        parent = {v: 0 for v in range(1, n)}
+    else:  # a handle of 10 edges, then a star of leaves
+        parent = {v: v - 1 for v in range(1, 11)}
+        parent.update({v: 10 for v in range(11, n)})
+    tree = MulticastTree(0, 0, parent, 0)
+    heavy = reference_heavy_path_decomposition(tree)
+    assert_same(heavy_path_decomposition(tree), heavy)
+    assert_same(rank_decomposition(tree)[0], reference_rank_decomposition(tree)[0])
+    assert_same(short_decomposition(tree, ell), reference_shorten(heavy, ell))

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 from collections import Counter
 
 import pytest
@@ -64,7 +65,30 @@ def test_tree_depth_and_leaves():
     assert t.depth == {0: 0, 1: 1, 2: 1, 3: 2, 4: 3}
     assert t.max_depth == 3
     assert set(t.leaves) == {2, 4}
-    assert t.subtree_sizes()[0] == 5
+    assert t.subtree_sizes() == {0: 5, 1: 3, 2: 1, 3: 2, 4: 1}
+
+
+def test_root_with_parent_is_not_its_parents_child():
+    t = MulticastTree(0, 0, {0: 2, 1: 0, 2: 1}, 0)  # cycle 0 -> 1 -> 2 -> 0
+    assert t.children == {0: [1], 1: [2], 2: []}
+    assert t.depth == {0: 0, 1: 1, 2: 2}
+    assert t.subtree_sizes() == {0: 3, 1: 2, 2: 1}
+    assert any("root 0 has a parent" in p for p in validate_instance(
+        MulticastInstance.build(Graph.build(3, [(0, 1), (1, 2), (0, 2)]), [t])
+    ))
+
+
+def test_package_all_lists_every_public_name():
+    import mcastsched
+
+    assert len(set(mcastsched.__all__)) == len(mcastsched.__all__)
+    for name in mcastsched.__all__:
+        assert getattr(mcastsched, name) is not None, name
+    public = {
+        name for name, value in vars(mcastsched).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(mcastsched.__all__)
 
 
 def test_validate_catches_off_graph_edge():

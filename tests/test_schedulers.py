@@ -1,5 +1,8 @@
+import multiprocessing
 import random
+import resource
 from collections import Counter, defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from mcastsched import (
     Graph,
     MulticastInstance,
+    MulticastTree,
     Schedule,
     SeedSearchError,
     Send,
@@ -27,6 +31,8 @@ from mcastsched import (
     simulate,
     unicast_frame_schedule,
 )
+from mcastsched import schedulers
+from mcastsched.schedulers import _assignment, _draw_offsets
 from conftest import shared_edge_instance
 
 
@@ -188,8 +194,6 @@ def test_frame_scheduler_single_tree_is_fast():
 
 def test_depth_zero_trees_skipped():
     g = Graph.build(3, [(0, 1), (1, 2)])
-    from mcastsched import MulticastInstance, MulticastTree
-
     inst = MulticastInstance.build(
         g, [MulticastTree(0, 0, {1: 0}, 0), MulticastTree(1, 2, {}, 1)]
     )
@@ -197,6 +201,59 @@ def test_depth_zero_trees_skipped():
     assert set(decomps) == {0}
     sched, _ = frame_schedule_from_decomps(inst, decomps, 2, 0)
     assert_valid(inst, sched)
+
+
+def test_frames_driver_calls_module_unicast_once_per_frame(monkeypatch):
+    """Each frame goes through the module-level `unicast_frame_schedule`, its
+    paths (sorted by tree id and chunk index) as the first argument."""
+    inst = gen_random_instance(60, 8, 6, 3)
+    calls = []
+    real = schedulers.unicast_frame_schedule
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schedulers, "unicast_frame_schedule", spy)
+    _, assignment = frame_multicast_schedule(inst, 5, ell=2)
+    by_frame = defaultdict(list)
+    for (tid, pidx), f in sorted(assignment.frame_of.items()):
+        seq = assignment.chunks[tid].paths[pidx]
+        by_frame[f].append((seq[0], seq, inst.tree_by_id[tid].message_id))
+    assert len(by_frame) > 1
+    assert calls == [by_frame[f] for f in sorted(by_frame)]
+
+
+def _schedule_root_with_parent(conn):
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a loop must not eat memory
+    inst = MulticastInstance.build(
+        Graph.build(2, [(0, 1)]), [MulticastTree(0, 0, {0: 1, 1: 0}, 0)]
+    )
+    conn.send([
+        greedy_schedule(inst),
+        random_delay_schedule(inst, 0),
+        frame_multicast_schedule(inst, 0)[0],
+        deterministic_schedule(inst, 1)[0],
+    ])
+
+
+def test_root_with_parent_schedules_return():
+    """A root with a parent (a cycle through the root) once sent the message
+    round the cycle forever; the schedulers run in a child process so that
+    a regression fails here instead of hanging the suite."""
+    ctx = multiprocessing.get_context("spawn")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_schedule_root_with_parent, args=(send,))
+    child.start()
+    send.close()  # with no copy of the child's end left here, a crash ends the wait
+    done = recv.poll(30)
+    if not done:
+        child.kill()
+    child.join(10)
+    assert done, "a scheduler did not return within 30 s"
+    assert child.exitcode == 0
+    for sched in recv.recv():
+        assert sched.sends == (Send(1, 0, 1, 0),)
 
 
 # --- deterministic search --------------------------------------------------
@@ -439,3 +496,88 @@ def test_unicast_frame_matches_reference_when_fallback_fires():
         assert rng.random() == ref_rng.random()
         fired += fell_back
     assert fired >= 10  # 17 of the 200 frames
+
+
+# --- differential: the frames driver against the loop it replaced ----------
+# Each frame used to be routed from round 1; every send was then rebuilt,
+# shifted by the clock, and the whole list sorted again. That loop is kept
+# verbatim as the reference.
+
+def reference_frame_schedule_from_decomps(
+    instance, decomps, ell, seed, fixed_frame_length=None
+):
+    """`frame_schedule_from_decomps` as it was; also returns its rng."""
+    metrics = compute_metrics(instance)
+    rng = random.Random(seed)  # draws the offsets, then every frame's delays
+    offsets = _draw_offsets(instance, metrics.congestion, ell, rng)
+    assignment = _assignment(instance, decomps, ell, offsets)
+
+    by_frame: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for (tid, pidx), f in assignment.frame_of.items():
+        by_frame[f].append((tid, pidx))
+
+    by_id = instance.tree_by_id
+    delivered = {t.tree_id: {t.root} for t in instance.trees}
+    sends: list[Send] = []
+    clock = 0
+    for f in sorted(by_frame):
+        paths = []
+        for tid, pidx in sorted(by_frame[f]):
+            seq = decomps[tid].paths[pidx]
+            if seq[0] not in delivered[tid]:
+                raise AssertionError(
+                    f"chunk top {seq[0]} of tree {tid} not delivered before frame {f}"
+                )
+            paths.append((seq[0], seq, by_id[tid].message_id))
+        frag = unicast_frame_schedule(paths, instance.graph, rng)
+        for s in frag.sends:
+            sends.append(Send(s.round + clock, s.u, s.v, s.message_id))
+        if fixed_frame_length is not None:
+            if frag.declared_length > fixed_frame_length:
+                raise ValueError(
+                    f"frame {f} needs {frag.declared_length} rounds, "
+                    f"over the fixed frame length {fixed_frame_length}"
+                )
+            clock += fixed_frame_length
+        else:
+            clock += frag.declared_length
+        for tid, pidx in by_frame[f]:
+            delivered[tid].update(decomps[tid].paths[pidx])
+    return Schedule.from_sends(sends), assignment, rng
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    inst=small_instances,
+    ell=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    fixed=st.one_of(st.none(), st.integers(1, 12)),
+)
+def test_frames_driver_matches_reference(inst, ell, seed, fixed):
+    decomps = build_short_decompositions(inst, ell)
+    want = _outcome(
+        lambda: reference_frame_schedule_from_decomps(inst, decomps, ell, seed, fixed)
+    )
+    with mock.patch.object(
+        schedulers, "unicast_frame_schedule", wraps=schedulers.unicast_frame_schedule
+    ) as spy:
+        got = _outcome(
+            lambda: frame_schedule_from_decomps(inst, decomps, ell, seed, fixed)
+        )
+    if isinstance(want, str):
+        assert got == want
+        return
+    sched, assignment = got
+    want_sched, want_assignment, want_rng = want
+    assert schedule_to_json(sched) == schedule_to_json(want_sched)
+    assert sched == want_sched
+    assert assignment == want_assignment
+    rng = spy.call_args.args[2]  # the driver's rng, after the last frame
+    assert rng.getstate() == want_rng.getstate()
