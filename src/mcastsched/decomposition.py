@@ -90,7 +90,7 @@ def _decompose(
         else:
             prev, cur = parent[v], v
             lvl = 1
-            if prev != root:  # below the level of the chunk entering prev
+            if prev != root:  # one level below the chunk that enters prev
                 lvl += level[edge_to_path[norm_edge(parent[prev], prev)]]
         if cur is None:
             continue
