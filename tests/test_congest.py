@@ -1,7 +1,9 @@
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcastsched.congest as congest_module
 from mcastsched import (
@@ -12,21 +14,26 @@ from mcastsched import (
     MulticastInstance,
     MulticastTree,
     RoundLimitError,
+    Schedule,
+    Send,
     compute_metrics,
     decomposition_to_json,
     distributed_multicast,
     distributed_rank_decomposition,
+    frame_multicast_schedule,
     gen_layered_instance,
     gen_random_instance,
     log2_ceil,
     message_size_audit,
     rank_decomposition,
     run_congest,
+    schedule_to_json,
     shorten,
     simulate,
     tree_offsets,
     verify_short,
 )
+from mcastsched.congest import _level_range_slices
 
 
 # --- driver ----------------------------------------------------------------
@@ -364,3 +371,108 @@ def test_single_edge_tree_instance():
     assert sorted(dist.decompositions[0].paths) == [(0, 1)]
     sched, _ = distributed_multicast(inst, depths_known=True)
     assert simulate(inst, sched).valid
+
+
+# --- differential: depths-known multicast against the loop it replaced -----
+# Each frame's slices used to be renumbered into a copy of the instance and
+# scheduled from round 1 by `frame_multicast_schedule`; every send was then
+# rebuilt, shifted by the clock and mapped back to its message, and the whole
+# list sorted again. That body is kept verbatim as the reference.
+
+def reference_depths_known(instance, epsilon, seed):
+    n = instance.graph.node_count
+    metrics = compute_metrics(instance)
+    band = max(1, math.ceil(math.log2(max(2, n)) ** (2 + epsilon)))
+    span = max(1, math.ceil(metrics.congestion / band))
+    offsets = tree_offsets(instance, f"{seed}:mc", span)
+    by_frame = defaultdict(list)  # frame -> (orig message, root, parent map)
+    for t in instance.trees:
+        for r, root, comp in _level_range_slices(t, band):
+            by_frame[offsets[t.tree_id] + r].append((t.message_id, root, comp))
+
+    sends: list[Send] = []
+    clock = 0
+    for f in sorted(by_frame):
+        temp_trees = []
+        back = {}
+        for temp_id, (msg, root, comp) in enumerate(by_frame[f]):
+            temp_trees.append(MulticastTree(temp_id, root, comp, temp_id))
+            back[temp_id] = msg
+        sub = MulticastInstance.build(instance.graph, temp_trees)
+        frag, _ = frame_multicast_schedule(sub, seed=seed * 7919 + f)
+        for s in frag.sends:
+            sends.append(Send(s.round + clock, s.u, s.v, back[s.message_id]))
+        clock += frag.declared_length
+    schedule = Schedule.from_sends(sends)
+    return schedule, clock
+
+
+def multiframe_shape(instance, epsilon, seed) -> tuple[int, int]:
+    """(frames, level ranges cut into more than one slice) of a depths-known run."""
+    band = max(1, math.ceil(math.log2(max(2, instance.graph.node_count)) ** (2 + epsilon)))
+    span = max(1, math.ceil(compute_metrics(instance).congestion / band))
+    offsets = tree_offsets(instance, f"{seed}:mc", span)
+    frames, multi_slice = set(), 0
+    for t in instance.trees:
+        per_range = Counter()
+        for r, _, _ in _level_range_slices(t, band):
+            per_range[r] += 1
+            frames.add(offsets[t.tree_id] + r)
+        multi_slice += sum(1 for count in per_range.values() if count > 1)
+    return len(frames), multi_slice
+
+
+MULTIFRAME_EPSILONS = (-1.5, -1.0, -0.5, 0.25)
+MULTIFRAME_EXAMPLES = (  # (instance, epsilon, seed)
+    (lambda: gen_random_instance(200, 12, 10, 3), -1.5, 0),
+    (lambda: gen_layered_instance(128, 16, 30, 2), -1.0, 1),
+)
+
+small_instances = st.one_of(
+    st.builds(
+        lambda n, k, depth, seed: gen_random_instance(n, k, min(depth, n - 1), seed),
+        st.integers(2, 40),
+        st.integers(1, 8),
+        st.integers(1, 10),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda n, c, depth, seed: gen_layered_instance(n, c, min(depth, n - 1), seed),
+        st.integers(2, 40),
+        st.integers(1, 10),
+        st.integers(1, 20),
+        st.integers(0, 10**6),
+    ),
+)
+
+
+def assert_matches_reference(inst, epsilon, seed):
+    want, want_rounds = reference_depths_known(inst, epsilon, seed)
+    got, rounds = distributed_multicast(inst, epsilon, seed, depths_known=True)
+    assert schedule_to_json(got) == schedule_to_json(want)
+    assert got == want
+    assert rounds == want_rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=small_instances,
+    epsilon=st.sampled_from(MULTIFRAME_EPSILONS),
+    seed=st.integers(0, 10**6),
+)
+def test_depths_known_matches_reference(inst, epsilon, seed):
+    assert_matches_reference(inst, epsilon, seed)
+
+
+@pytest.mark.parametrize("case", range(len(MULTIFRAME_EXAMPLES)))
+def test_depths_known_matches_reference_over_frames_and_slices(case):
+    make, epsilon, seed = MULTIFRAME_EXAMPLES[case]
+    assert_matches_reference(make(), epsilon, seed)
+
+
+def test_multiframe_examples_cover_frames_and_slices():
+    """The pinned cases run several frames, and one cuts a level range into
+    several slices, so the differential test sees both."""
+    shapes = [multiframe_shape(make(), eps, seed) for make, eps, seed in MULTIFRAME_EXAMPLES]
+    assert max(frames for frames, _ in shapes) > 1
+    assert max(multi for _, multi in shapes) > 0

@@ -45,6 +45,10 @@ CORPUS = {
 }
 SEEDS = (0, 1)
 EPSILON = 0.25  # distributed_rank_decomposition's default, as in the benchmark
+# At the default epsilon every corpus member is one frame with one slice per
+# tree; at -1.0 layered-128-16-30-2 runs 6 frames and random-2000-60-12-0
+# has ranges cut into several slices.
+MULTIFRAME_EPSILON = -1.0
 BIT_FACTOR = 4
 
 
@@ -83,6 +87,9 @@ def compute(name: str) -> dict:
             "frames": fingerprint(frame_multicast_schedule(instance, seed)[0]),
             "congest": fingerprint(
                 distributed_multicast(instance, EPSILON, seed, depths_known=True)[0]
+            ),
+            "congest_multiframe": fingerprint(
+                distributed_multicast(instance, MULTIFRAME_EPSILON, seed, depths_known=True)[0]
             ),
             "distributed": fingerprint(
                 frame_schedule_from_decomps(
