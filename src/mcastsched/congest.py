@@ -17,8 +17,8 @@ from .model import (
     log2_ceil,
     norm_edge,
 )
-from .schedule import Schedule, Send
-from .schedulers import frame_multicast_schedule, frame_schedule_from_decomps
+from .schedule import Schedule
+from .schedulers import build_short_decompositions, frame_schedule_from_decomps
 
 
 class BudgetViolation(RuntimeError):
@@ -578,17 +578,15 @@ def distributed_multicast(
     """Distributed multicast; returns the realized schedule and CONGEST rounds.
 
     With depths_known, trees are sliced into ranges of L = ceil(log2(n)^(2+eps))
-    consecutive levels, delayed by X_T time frames, and each frame's slices are
-    multicast with the frame scheduler. When C and D are both <= L
-    (ceil(log2(n)^2.25) at the default eps), every tree is one slice and every
-    delay is 0, so this comes down to one `frame_multicast_schedule` call, at
-    seed `seed * 7919`, on a copy of the instance whose trees are renumbered
-    0, 1, ... (messages mapped back afterwards). Without depths_known, the
-    distributed rank decomposition runs first and the schedule is built over
-    its chunks.
+    consecutive levels, delayed by X_T time frames, and each frame's slices,
+    numbered 0, 1, ... as trees of their own, go through the frames driver
+    at seed `seed * 7919 + frame`, from the round where the previous frame
+    ended. When C and D are both <= L (ceil(log2(n)^2.25) at the default
+    eps), every tree is one slice and every delay is 0, so there is one
+    frame. Without depths_known, the distributed rank decomposition runs
+    first and the schedule is built over its chunks.
     """
     n = instance.graph.node_count
-    metrics = compute_metrics(instance)
     if not depths_known:
         dist = distributed_rank_decomposition(instance, epsilon, seed, bit_factor)
         schedule, _ = frame_schedule_from_decomps(
@@ -597,25 +595,23 @@ def distributed_multicast(
         return schedule, dist.rounds + schedule.declared_length
 
     band = max(1, math.ceil(math.log2(max(2, n)) ** (2 + epsilon)))
-    span = max(1, math.ceil(metrics.congestion / band))
+    span = max(1, math.ceil(compute_metrics(instance).congestion / band))
     offsets = tree_offsets(instance, f"{seed}:mc", span)
-    by_frame = defaultdict(list)  # frame -> (orig message, root, parent map)
+    by_frame = defaultdict(list)  # frame -> its slices, as trees 0, 1, ...
     for t in instance.trees:
         for r, root, comp in _level_range_slices(t, band):
-            by_frame[offsets[t.tree_id] + r].append((t.message_id, root, comp))
+            slices = by_frame[offsets[t.tree_id] + r]
+            # a slice keeps its tree's message: the driver keys by tree id only
+            slices.append(MulticastTree(len(slices), root, comp, t.message_id))
 
-    sends: list[Send] = []
+    ell = log2_ceil(n)
+    sends = []
     clock = 0
     for f in sorted(by_frame):
-        temp_trees = []
-        back = {}
-        for temp_id, (msg, root, comp) in enumerate(by_frame[f]):
-            temp_trees.append(MulticastTree(temp_id, root, comp, temp_id))
-            back[temp_id] = msg
-        sub = MulticastInstance.build(instance.graph, temp_trees)
-        frag, _ = frame_multicast_schedule(sub, seed=seed * 7919 + f)
-        for s in frag.sends:
-            sends.append(Send(s.round + clock, s.u, s.v, back[s.message_id]))
-        clock += frag.declared_length
-    schedule = Schedule.from_sends(sends)
-    return schedule, clock
+        sub = MulticastInstance.build(instance.graph, by_frame[f])
+        frag, _ = frame_schedule_from_decomps(
+            sub, build_short_decompositions(sub, ell), ell, seed * 7919 + f, start=clock
+        )
+        sends.extend(frag.sends)  # rounds after the clock, in (round, u, v) order
+        clock = frag.declared_length
+    return Schedule(tuple(sends), clock), clock

@@ -199,10 +199,13 @@ def frame_schedule_from_decomps(
     ell: int,
     seed: int,
     fixed_frame_length: int | None = None,
+    *,
+    start: int = 0,
 ) -> tuple[Schedule, FrameAssignment]:
     """Shift each tree's chunk levels by a random offset and run the frames
     sequentially, each as a simultaneous-unicast sub-problem routed from the
-    round where the previous frame ended."""
+    round where the previous frame ended. The first frame begins after round
+    `start`."""
     metrics = compute_metrics(instance)
     rng = random.Random(seed)  # draws the offsets, then every frame's delays
     offsets = _draw_offsets(instance, metrics.congestion, ell, rng)
@@ -215,7 +218,7 @@ def frame_schedule_from_decomps(
     by_id = instance.tree_by_id
     delivered = {t.tree_id: {t.root} for t in instance.trees}
     sends: list[Send] = []
-    clock = 0
+    clock = start
     for f in sorted(by_frame):
         paths = []
         for tid, pidx in sorted(by_frame[f]):
@@ -239,7 +242,7 @@ def frame_schedule_from_decomps(
             clock += length
         for tid, pidx in by_frame[f]:
             delivered[tid].update(decomps[tid].paths[pidx])
-    return Schedule(tuple(sends), sends[-1].round if sends else 0), assignment
+    return Schedule(tuple(sends), sends[-1].round if sends else start), assignment
 
 
 def frame_multicast_schedule(
