@@ -227,7 +227,8 @@ def _local_views(instance):
     views: dict[int, dict[int, tuple[int | None, tuple[int, ...]]]] = defaultdict(dict)
     for t in instance.trees:
         for v in t.depth:
-            views[v][t.tree_id] = (t.parent.get(v), tuple(t.children.get(v, ())))
+            parent = None if v == t.root else t.parent[v]
+            views[v][t.tree_id] = (parent, tuple(t.children.get(v, ())))
     return views
 
 
@@ -547,7 +548,7 @@ def _level_range_slices(tree, band: int):
     (range_index, component trees as (root, parent map))."""
     ranges = defaultdict(dict)
     for c, p in tree.parent.items():
-        if c not in tree.depth:
+        if c not in tree.depth or c == tree.root:
             continue
         r = (tree.depth[c] - 1) // band
         ranges[r][c] = p

@@ -304,7 +304,7 @@ def markov_delay_check(
     users: dict[tuple[int, int], list[tuple[int, int, int]]] = defaultdict(list)
     for t in instance.trees:
         for c, p in t.parent.items():
-            if c in t.depth:
+            if c in t.depth and c != t.root:
                 users[norm_edge(c, p)].append((t.tree_id, p, c))
 
     results = []

@@ -111,9 +111,10 @@ class MulticastTree:
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
-        """Normalized tree edges, reachable part only."""
+        """Normalized tree edges, reachable part only (no root parent link)."""
+        depth, root = self.depth, self.root
         return frozenset(
-            norm_edge(c, p) for c, p in self.parent.items() if c in self.depth
+            norm_edge(c, p) for c, p in self.parent.items() if c in depth and c != root
         )
 
     def subtree_sizes(self) -> dict[int, int]:

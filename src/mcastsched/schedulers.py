@@ -99,8 +99,8 @@ def greedy_schedule(instance: MulticastInstance) -> Schedule:
         for v in t.depth:
             height[(t.tree_id, v)] = 0
         for v in sorted(t.depth, key=lambda v: -t.depth[v]):
-            p = t.parent.get(v)
-            if p is not None:
+            if v != t.root:
+                p = t.parent[v]
                 height[(t.tree_id, p)] = max(
                     height[(t.tree_id, p)], height[(t.tree_id, v)] + 1
                 )

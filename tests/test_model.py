@@ -12,12 +12,16 @@ from mcastsched import (
     MulticastInstance,
     MulticastTree,
     compute_metrics,
+    distributed_multicast,
     gen_layered_instance,
     gen_random_instance,
     instance_from_json,
     instance_to_json,
+    greedy_schedule,
     log2_ceil,
+    markov_delay_check,
     norm_edge,
+    simulate,
     validate_instance,
 )
 
@@ -76,6 +80,24 @@ def test_root_with_parent_is_not_its_parents_child():
     assert any("root 0 has a parent" in p for p in validate_instance(
         MulticastInstance.build(Graph.build(3, [(0, 1), (1, 2), (0, 2)]), [t])
     ))
+
+
+def test_root_parent_link_is_no_tree_edge():
+    """The root's parent link, which no walk from the root uses, counts for
+    no congestion, no shared edge and no slice; it is still reported."""
+    graph = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
+    inst = MulticastInstance.build(graph, [
+        MulticastTree(0, 0, {0: 2, 1: 0, 2: 1}, 0),  # cycle 0 -> 1 -> 2 -> 0
+        MulticastTree(1, 0, {2: 0}, 1),
+    ])
+    assert inst.trees[0].edges == {(0, 1), (1, 2)}
+    assert compute_metrics(inst).congestion == 1
+    assert markov_delay_check(inst, greedy_schedule(inst)).per_edge == []
+    for depths_known in (False, True):
+        sched, _ = distributed_multicast(inst, -1.5, 0, depths_known=depths_known)
+        report = simulate(inst, sched)
+        assert report.valid, (depths_known, report.violations)
+    assert validate_instance(inst) == ["tree 0: root 0 has a parent"]
 
 
 def test_package_all_lists_every_public_name():
