@@ -61,11 +61,6 @@ class CongestTranscript:
         """Rounds in which no node sent bits; each one advances the frame."""
         return sum(1 for rnd in self.rounds if not rnd)
 
-    def max_bits(self) -> int:
-        return max(
-            (len(bits) for rnd in self.rounds for bits in rnd.values()), default=0
-        )
-
 
 @dataclass
 class AuditReport:

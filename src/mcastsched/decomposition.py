@@ -22,9 +22,6 @@ class PathDecomposition:
     level: dict[int, int]
     kind: str  # heavy | rank | short-refined
 
-    def path_of_edge(self, u: int, v: int) -> int:
-        return self.edge_to_path[norm_edge(u, v)]
-
 
 @dataclass(frozen=True)
 class RankMap:

@@ -20,18 +20,8 @@ from .schedule import Schedule, simulate
 
 
 @dataclass(frozen=True)
-class ConstructionStats:
-    edge_count: int
-    node_count: int
-    recursion_depth: int
-    congestion: int
-
-
-@dataclass(frozen=True)
 class LowerBoundInstance:
-    instance: MulticastInstance
-    label_of_tree: dict[int, int]
-    stats: ConstructionStats
+    instance: MulticastInstance  # tree i carries label i and message i
 
 
 def interleave(s1: frozenset, s2: frozenset) -> list[frozenset]:
@@ -61,16 +51,6 @@ def interleavings(sets: tuple[frozenset, ...]):
     return itertools.product(*pair_choices)
 
 
-class _Alloc:
-    def __init__(self):
-        self.next = 0
-
-    def fresh(self) -> int:
-        v = self.next
-        self.next += 1
-        return v
-
-
 class _UnionFind:
     def __init__(self):
         self.parent: dict[int, int] = {}
@@ -92,18 +72,18 @@ class _UnionFind:
 def _construct(sets, alloc, uf, edges):
     """Build the gadget for one partition; returns root node per label set index.
 
-    edges accumulates (u, v, labelset) with raw ids; uf records the step-3
+    alloc yields fresh raw node ids; edges accumulates (u, v, labelset) with raw ids; uf records the step-3
     identifications of sub-roots with their guess vertices.
     """
     if len(sets) == 1:
-        r, v = alloc.fresh(), alloc.fresh()
+        r, v = next(alloc), next(alloc)
         edges.append((r, v, sets[0]))
         return {0: r}
 
     roots = {}
     joint = {}
     for i in range(len(sets) // 2):
-        r1, r2, vi = alloc.fresh(), alloc.fresh(), alloc.fresh()
+        r1, r2, vi = next(alloc), next(alloc), next(alloc)
         edges.append((r1, vi, sets[2 * i]))
         edges.append((r2, vi, sets[2 * i + 1]))
         roots[2 * i] = r1
@@ -137,7 +117,7 @@ def build_lowerbound(
         frozenset(labels[i * congestion : (i + 1) * congestion])
         for i in range(2 ** (depth - 1))
     )
-    alloc, uf = _Alloc(), _UnionFind()
+    alloc, uf = itertools.count(), _UnionFind()
     raw_edges: list[tuple[int, int, frozenset]] = []
     top_roots = _construct(sets, alloc, uf, raw_edges)
 
@@ -190,8 +170,7 @@ def build_lowerbound(
     problems = validate_instance(instance)
     if problems:
         raise AssertionError(f"construction produced invalid instance: {problems[:3]}")
-    stats = ConstructionStats(len(raw_edges), n, depth, congestion)
-    return LowerBoundInstance(instance, {lab: lab for lab in labels}, stats)
+    return LowerBoundInstance(instance)
 
 
 def predicted_edge_count(congestion: int, depth: int) -> int:
@@ -243,7 +222,7 @@ def check_lemmas(lb: LowerBoundInstance, congestion: int, depth: int) -> LemmaRe
         reachable = len(t.depth) - 1
         if reachable != expected or t.root not in t.depth:
             trees_ok = False
-            failures.append(f"label {lb.label_of_tree[t.tree_id]} does not induce a rooted tree")
+            failures.append(f"label {t.tree_id} does not induce a rooted tree")
     problems = validate_instance(inst)
     if problems:
         trees_ok = False

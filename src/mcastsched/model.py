@@ -148,7 +148,6 @@ class MulticastInstance:
 class InstanceMetrics:
     congestion: int
     dilation: int
-    node_count: int
 
 
 def compute_metrics(instance: MulticastInstance) -> InstanceMetrics:
@@ -158,7 +157,7 @@ def compute_metrics(instance: MulticastInstance) -> InstanceMetrics:
         counts.update(t.edges)
     congestion = max(counts.values()) if counts else 0
     dilation = max((t.max_depth for t in instance.trees), default=0)
-    return InstanceMetrics(congestion, dilation, instance.graph.node_count)
+    return InstanceMetrics(congestion, dilation)
 
 
 def validate_instance(instance: MulticastInstance) -> list[str]:

@@ -29,7 +29,6 @@ class FrameAssignment:
 class FrameCongestionProfile:
     counts: dict[tuple[int, tuple[int, int]], int]  # (frame, edge) -> paths crossing
     max_frame_congestion: int
-    max_frame_dilation: int
 
 
 class SeedSearchError(RuntimeError):
@@ -109,13 +108,18 @@ def greedy_schedule(instance: MulticastInstance) -> Schedule:
     )
 
 
+def _draw_offsets(
+    instance, congestion: int, ell: int, rng: random.Random
+) -> dict[int, int]:
+    """Per-tree level offsets, uniform in [0, ceil(C / ell)), drawn from rng."""
+    span = max(1, math.ceil(congestion / ell))
+    return {t.tree_id: rng.randrange(span) for t in instance.trees}
+
+
 def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
     """Each tree waits a uniform delay in [0, C) and then forwards greedily."""
     metrics = compute_metrics(instance)
-    rng = random.Random(seed)
-    delay = {
-        t.tree_id: rng.randrange(max(1, metrics.congestion)) for t in instance.trees
-    }
+    delay = _draw_offsets(instance, metrics.congestion, 1, random.Random(seed))
     return _route_instance(
         instance, lambda tid: delay[tid] + 1, lambda tid, c, depth: delay[tid] + depth
     )
@@ -161,14 +165,6 @@ def unicast_frame_schedule(
         schedule = route([0] * len(seqs))
     assert schedule.declared_length - start <= cprime * dprime or not seqs
     return schedule
-
-
-def _draw_offsets(
-    instance, congestion: int, ell: int, rng: random.Random
-) -> dict[int, int]:
-    """Per-tree level offsets, uniform in [0, ceil(C / ell)), drawn from rng."""
-    span = max(1, math.ceil(congestion / ell))
-    return {t.tree_id: rng.randrange(span) for t in instance.trees}
 
 
 def build_short_decompositions(
@@ -269,11 +265,7 @@ def frame_congestion_profile(
         seq = assignment.chunks[tid].paths[pidx]
         for a, b in zip(seq, seq[1:]):
             counts[(f, norm_edge(a, b))] += 1
-    return FrameCongestionProfile(
-        dict(counts),
-        max(counts.values(), default=0),
-        assignment.ell,
-    )
+    return FrameCongestionProfile(dict(counts), max(counts.values(), default=0))
 
 
 def deterministic_schedule(
