@@ -72,8 +72,9 @@ class _UnionFind:
 def _construct(sets, alloc, uf, edges):
     """Build the gadget for one partition; returns root node per label set index.
 
-    alloc yields fresh raw node ids; edges accumulates (u, v, labelset) with raw ids; uf records the step-3
-    identifications of sub-roots with their guess vertices.
+    alloc yields fresh raw node ids; edges accumulates (u, v, labelset) with
+    raw ids; uf records the step-3 identifications of sub-roots with their
+    guess vertices.
     """
     if len(sets) == 1:
         r, v = next(alloc), next(alloc)
