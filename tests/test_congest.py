@@ -464,9 +464,10 @@ def test_depths_known_matches_reference(inst, epsilon, seed):
     assert_matches_reference(inst, epsilon, seed)
 
 
-@pytest.mark.parametrize("case", range(len(MULTIFRAME_EXAMPLES)))
-def test_depths_known_matches_reference_over_frames_and_slices(case):
-    make, epsilon, seed = MULTIFRAME_EXAMPLES[case]
+@pytest.mark.parametrize(
+    "make, epsilon, seed", MULTIFRAME_EXAMPLES, ids=["random-200", "layered-128"]
+)
+def test_depths_known_matches_reference_over_frames_and_slices(make, epsilon, seed):
     assert_matches_reference(make(), epsilon, seed)
 
 
