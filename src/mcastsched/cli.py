@@ -192,12 +192,16 @@ def _emit_instance(instance, output):
         f"trees={len(instance.trees)} C={m.congestion} D={m.dilation}",
         err=True,
     )
-    text = instance_to_json(instance)
+    _write(instance_to_json(instance) + "\n", output)
+
+
+def _write(text: str, output: str) -> None:
+    """Echo text to stdout for "-", else write it to the file `output`."""
     if output == "-":
-        click.echo(text)
+        click.echo(text, nl=False)
     else:
         with open(output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
 
 
 @main.command("schedule")
@@ -243,12 +247,7 @@ def cmd_schedule(instance_file, scheduler, seed, ell, budget, output):
     for k, v in extra.items():
         stats += f" {k}={v}"
     click.echo(stats, err=True)
-    text = schedule_to_json(sched)
-    if output == "-":
-        click.echo(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+    _write(schedule_to_json(sched) + "\n", output)
 
 
 @main.command("validate")
@@ -403,6 +402,31 @@ def cmd_markov_check(instance_file, schedule_file):
         sys.exit(1)
 
 
+def _bench_row(instance, metrics, scheduler, seed) -> dict:
+    """One CSV row of `mcast bench`; a failed run fills the error column."""
+    row = {
+        "n": instance.graph.node_count,
+        "congestion": metrics.congestion,
+        "dilation": metrics.dilation,
+        "scheduler": scheduler,
+        "seed": seed,
+    }
+    t0 = time.perf_counter()
+    try:
+        sched, assignment, _ = _run_scheduler(instance, scheduler, seed, None, None)
+        if not simulate(instance, sched).valid:
+            raise AssertionError("schedule failed validation")
+        row["length"] = sched.declared_length
+        if assignment is not None:
+            profile = frame_congestion_profile(instance, assignment)
+            row["frame_count"] = assignment.frame_count + 1
+            row["max_frame_congestion"] = profile.max_frame_congestion
+    except Exception as exc:  # per-row failure, sweep continues
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    row["wall_time_s"] = f"{time.perf_counter() - t0:.4f}"
+    return row
+
+
 @main.command("bench")
 @click.option(
     "--suite", "suite_file", type=click.Path(exists=True), required=True,
@@ -417,58 +441,24 @@ def cmd_bench(suite_file, output):
     frame_count, max_frame_congestion, wall_time_s, error. Per-row failures
     are recorded in the error column and the sweep continues.
     """
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)  # missing columns: ""
+    writer.writeheader()
     try:
         with open(suite_file) as fh:
-            suite = json.load(fh)
-        cells = suite["cells"]
-    except (OSError, ValueError, KeyError) as exc:
-        _fail(f"cannot read suite {suite_file}: {exc}")
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
-    writer.writeheader()
-    for cell in cells:
-        for seed in cell["seeds"]:
-            instance = gen_layered_instance(
-                cell["n"], cell["congestion"], cell["depth"], seed,
-                cell.get("prefix_cap"),
-            )
-            m = compute_metrics(instance)
-            for scheduler in cell["schedulers"]:
-                row = {
-                    "n": cell["n"],
-                    "congestion": m.congestion,
-                    "dilation": m.dilation,
-                    "scheduler": scheduler,
-                    "seed": seed,
-                    "length": "",
-                    "frame_count": "",
-                    "max_frame_congestion": "",
-                    "wall_time_s": "",
-                    "error": "",
-                }
-                t0 = time.perf_counter()
-                try:
-                    sched, assignment, _ = _run_scheduler(
-                        instance, scheduler, seed, None, None
-                    )
-                    report = simulate(instance, sched)
-                    if not report.valid:
-                        raise AssertionError("schedule failed validation")
-                    row["length"] = sched.declared_length
-                    if assignment is not None:
-                        profile = frame_congestion_profile(instance, assignment)
-                        row["frame_count"] = assignment.frame_count + 1
-                        row["max_frame_congestion"] = profile.max_frame_congestion
-                except Exception as exc:  # per-row failure, sweep continues
-                    row["error"] = f"{type(exc).__name__}: {exc}"
-                row["wall_time_s"] = f"{time.perf_counter() - t0:.4f}"
-                writer.writerow(row)
-    text = buf.getvalue()
-    if output == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
+            cells = json.load(fh)["cells"]
+        for cell in cells:
+            for seed in cell["seeds"]:
+                instance = gen_layered_instance(
+                    cell["n"], cell["congestion"], cell["depth"], seed,
+                    cell.get("prefix_cap"),
+                )
+                m = compute_metrics(instance)
+                for scheduler in cell["schedulers"]:
+                    writer.writerow(_bench_row(instance, m, scheduler, seed))
+    except _READ_ERRORS as exc:
+        _fail(f"invalid suite {suite_file}: {type(exc).__name__}: {exc}")
+    _write(buf.getvalue(), output)
 
 
 if __name__ == "__main__":

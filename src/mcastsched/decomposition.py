@@ -28,33 +28,6 @@ class RankMap:
     rank: dict[int, int]
 
 
-def _levels(paths: list[list[int]]) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
-    """edge->path map and per-path levels, reconstructed from the paths alone."""
-    edge_to_path: dict[tuple[int, int], int] = {}
-    parent: dict[int, int] = {}
-    for i, p in enumerate(paths):
-        for a, b in zip(p, p[1:]):
-            edge_to_path[norm_edge(a, b)] = i
-            parent[b] = a
-    roots = {p[0] for p in paths} - set(parent)
-    level: dict[int, int] = {}
-    # paths-above count per node, walking top-down from each root
-    children: dict[int, list[int]] = {}
-    for c, p in parent.items():
-        children.setdefault(p, []).append(c)
-    for root in roots:
-        stack = [(root, 0, None)]  # node, paths met so far, path of edge above
-        while stack:
-            v, count, above = stack.pop()
-            for c in children.get(v, ()):
-                pid = edge_to_path[norm_edge(v, c)]
-                ccount = count + (1 if pid != above else 0)
-                if pid not in level or ccount < level[pid]:
-                    level[pid] = ccount
-                stack.append((c, ccount, pid))
-    return edge_to_path, level
-
-
 def _decompose(
     tree: MulticastTree, weight: dict[int, int], ell: int | None, kind: str
 ) -> PathDecomposition:
@@ -113,8 +86,7 @@ def heavy_path_decomposition(tree: MulticastTree) -> PathDecomposition:
 
 def short_decomposition(tree: MulticastTree, ell: int) -> PathDecomposition:
     """The heavy-path decomposition with every path cut top-down into chunks
-    of at most ell edges: `shorten(heavy_path_decomposition(tree), ell)`,
-    built in one walk."""
+    of at most ell edges, built in one walk."""
     if ell < 1:
         raise ValueError("chunk length must be >= 1")
     return _decompose(tree, tree.subtree_sizes(), ell, "short-refined")
@@ -138,19 +110,6 @@ def rank_decomposition(tree: MulticastTree) -> tuple[PathDecomposition, RankMap]
     """Preferred edge goes to a child of highest rank, ties toward smallest id."""
     ranks = compute_ranks(tree)
     return _decompose(tree, ranks.rank, None, "rank"), ranks
-
-
-def shorten(decomposition: PathDecomposition, ell: int) -> PathDecomposition:
-    """Cut each path top-down into chunks of at most ell edges."""
-    if ell < 1:
-        raise ValueError("chunk length must be >= 1")
-    chunks: list[tuple[int, ...]] = []
-    for p in decomposition.paths:
-        length = len(p) - 1
-        for i in range(0, length, ell):
-            chunks.append(tuple(p[i : i + ell + 1]))
-    edge_to_path, level = _levels([list(c) for c in chunks])
-    return PathDecomposition(tuple(chunks), edge_to_path, level, "short-refined")
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,13 @@ def gen_layered_instance(
         raise ValueError("depth must be < node_count")
     if congestion < 1:
         raise ValueError("congestion must be >= 1")
-    rng = random.Random(seed)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     cap = depth if prefix_cap is None else min(prefix_cap, depth)
+    if congestion > 1 and cap < 1:  # the other trees need a prefix of >= 1 edge
+        name = "depth" if depth < 1 else "prefix_cap"
+        raise ValueError(f"{name} must be >= 1 when congestion > 1")
+    rng = random.Random(seed)
     spine = list(range(depth + 1))
     edges = {norm_edge(spine[i], spine[i + 1]) for i in range(depth)}
     graph = Graph.build(node_count, edges)

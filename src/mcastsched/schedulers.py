@@ -18,7 +18,6 @@ from .schedule import Schedule, Send
 class FrameAssignment:
     """Per-tree random offsets and the resulting chunk -> frame map."""
 
-    ell: int
     offset: dict[int, int]  # tree_id -> offset
     frame_of: dict[tuple[int, int], int]  # (tree_id, path index) -> frame
     frame_count: int
@@ -97,7 +96,7 @@ def greedy_schedule(instance: MulticastInstance) -> Schedule:
     for t in instance.trees:
         for v in t.depth:
             height[(t.tree_id, v)] = 0
-        for v in sorted(t.depth, key=lambda v: -t.depth[v]):
+        for v in reversed(t.depth):  # children before their parents
             if v != t.root:
                 p = t.parent[v]
                 height[(t.tree_id, p)] = max(
@@ -177,7 +176,7 @@ def build_short_decompositions(
     }
 
 
-def _assignment(instance, decomps, ell, offsets) -> FrameAssignment:
+def _assignment(decomps, offsets) -> FrameAssignment:
     frame_of = {}
     frame_count = 0
     for tid, dec in decomps.items():
@@ -186,7 +185,7 @@ def _assignment(instance, decomps, ell, offsets) -> FrameAssignment:
             f = dec.level[pidx] + off
             frame_of[(tid, pidx)] = f
             frame_count = max(frame_count, f)
-    return FrameAssignment(ell, dict(offsets), frame_of, frame_count, decomps)
+    return FrameAssignment(dict(offsets), frame_of, frame_count, decomps)
 
 
 def frame_schedule_from_decomps(
@@ -205,7 +204,7 @@ def frame_schedule_from_decomps(
     metrics = compute_metrics(instance)
     rng = random.Random(seed)  # draws the offsets, then every frame's delays
     offsets = _draw_offsets(instance, metrics.congestion, ell, rng)
-    assignment = _assignment(instance, decomps, ell, offsets)
+    assignment = _assignment(decomps, offsets)
 
     by_frame: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for (tid, pidx), f in assignment.frame_of.items():
@@ -247,8 +246,8 @@ def frame_multicast_schedule(
     ell: int | None = None,
     fixed_frame_length: int | None = None,
 ) -> tuple[Schedule, FrameAssignment]:
-    """Main scheduler: heavy+shortened decompositions, random level offsets,
-    frames run back to back."""
+    """Main scheduler: heavy-path decompositions cut into chunks of ell edges,
+    random level offsets, frames run back to back."""
     if ell is None:
         ell = log2_ceil(instance.graph.node_count)
     decomps = build_short_decompositions(instance, ell)
@@ -284,9 +283,7 @@ def deterministic_schedule(
     best_seed, best_cong = -1, None
     for seed in range(seed_cap):
         offsets = _draw_offsets(instance, metrics.congestion, ell, random.Random(seed))
-        profile = frame_congestion_profile(
-            instance, _assignment(instance, decomps, ell, offsets)
-        )
+        profile = frame_congestion_profile(instance, _assignment(decomps, offsets))
         if best_cong is None or profile.max_frame_congestion < best_cong:
             best_seed, best_cong = seed, profile.max_frame_congestion
         if profile.max_frame_congestion <= congestion_budget:

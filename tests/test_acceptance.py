@@ -41,11 +41,12 @@ from mcastsched import (
     rank_decomposition,
     random_delay_schedule,
     schedule_to_json,
-    shorten,
+    short_decomposition,
     simulate,
     verify_short,
 )
 from conftest import shared_edge_instance, random_tree
+from test_decomposition import reference_shorten
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -239,7 +240,7 @@ def test_criterion_06_decomposition_bounds():
             if worst > log_bound:
                 failures += 1
         ell = math.ceil(math.log2(n))
-        short = shorten(heavy, ell)
+        short = short_decomposition(tree, ell)
         if not verify_short(short, tree, ell, math.ceil(math.log2(n)) + 1).passed:
             failures += 1
         if any(size[v] < 2**r for v, r in ranks.rank.items()):
@@ -261,9 +262,7 @@ def test_criterion_07_frame_concentration(concentration_suite):
 
         for seed in range(10):
             offsets = _draw_offsets(inst, m.congestion, ell, random.Random(seed))
-            profile = frame_congestion_profile(
-                inst, _assignment(inst, decomps, ell, offsets)
-            )
+            profile = frame_congestion_profile(inst, _assignment(decomps, offsets))
             trials += 1
             worst = max(worst, profile.max_frame_congestion)
             if profile.max_frame_congestion <= cap:
@@ -329,7 +328,7 @@ def test_criterion_10_congest_equivalence_and_budget():
         dist = distributed_rank_decomposition(inst, seed=seed)
         tree = inst.trees[0]
         cen, _ = rank_decomposition(tree)
-        cen = shorten(cen, dist.chunk_length)
+        cen = reference_shorten(cen, dist.chunk_length)
         got = dist.decompositions[tree.tree_id]
         if sorted(got.paths) != sorted(cen.paths):
             failures.append(f"single-tree mismatch seed {seed}")

@@ -315,6 +315,43 @@ def test_bench_grid_row_count_and_greedy_bound(runner, tmp_path):
             assert row["frame_count"] != ""
 
 
+@pytest.mark.parametrize(
+    "suite, needle",
+    [
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3,
+                     "schedulers": ["greedy"]}]}, "KeyError: 'seeds'"),
+        ({"cells": {"a": 1}}, "TypeError"),
+        ([1], "TypeError"),
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 8, "seeds": [0],
+                     "schedulers": ["greedy"]}]}, "depth must be < node_count"),
+        ({"cells": [{"n": 8, "congestion": 0, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"]}]}, "congestion must be >= 1"),
+    ],
+    ids=["missing-seeds", "cells-dict", "suite-list", "depth-ge-n", "congestion-0"],
+)
+def test_bench_malformed_suite_exits_one(runner, tmp_path, suite, needle):
+    suite_file = tmp_path / "suite.json"
+    suite_file.write_text(json.dumps(suite))
+    res = runner.invoke(main, ["bench", "--suite", str(suite_file)])
+    _assert_clean_error(res, f"invalid suite {suite_file}", needle)
+    assert len(res.output.splitlines()) == 1  # the error line, no partial CSV
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (["--congestion", "3", "--depth", "3", "--prefix-cap", "0"],
+         "prefix_cap must be >= 1"),
+        (["--congestion", "3", "--depth", "0"], "depth must be >= 1"),
+        (["--congestion", "1", "--depth", "-1"], "depth must be >= 0"),
+    ],
+    ids=["prefix-cap-0", "depth-0", "depth-negative"],
+)
+def test_gen_layered_names_bad_parameter(runner, args, needle):
+    res = runner.invoke(main, ["gen", "layered", "--n", "8", *args])
+    _assert_clean_error(res, needle)
+
+
 def test_missing_instance_file_exits_nonzero(runner):
     res = runner.invoke(main, ["schedule", "/nonexistent.json"])
     assert res.exit_code != 0

@@ -28,12 +28,12 @@ from mcastsched import (
     rank_decomposition,
     run_congest,
     schedule_to_json,
-    shorten,
     simulate,
     tree_offsets,
     verify_short,
 )
 from mcastsched.congest import _level_range_slices
+from test_decomposition import reference_shorten
 
 
 # --- driver ----------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_tree_offsets_shared_randomness():
 
 def centralized_chunks(tree, chunk_length):
     dec, ranks = rank_decomposition(tree)
-    return shorten(dec, chunk_length), ranks
+    return reference_shorten(dec, chunk_length), ranks
 
 
 @pytest.mark.parametrize("seed", range(10))

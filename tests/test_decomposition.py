@@ -15,7 +15,6 @@ from mcastsched import (
     norm_edge,
     rank_decomposition,
     short_decomposition,
-    shorten,
     verify_short,
 )
 from conftest import random_tree
@@ -154,8 +153,7 @@ def test_levels_match_oracle(seed):
 @given(n=st.integers(4, 120), ell=st.integers(1, 10), seed=st.integers(0, 10**6))
 def test_shorten_chunks_and_bound(n, ell, seed):
     tree = random_tree(n, seed)
-    dec = heavy_path_decomposition(tree)
-    short = shorten(dec, ell)
+    short = short_decomposition(tree, ell)
     check_partition(tree, short)
     assert all(len(p) - 1 <= ell for p in short.paths)
     k = math.ceil(math.log2(n)) + 1
@@ -167,15 +165,13 @@ def test_shorten_chunks_and_bound(n, ell, seed):
 def test_shorten_levels_count_paths_above():
     # single path of 6 edges, ell=2 -> 3 chunks at levels 0,1,2
     tree = MulticastTree(0, 0, {i: i - 1 for i in range(1, 7)}, 0)
-    short = shorten(heavy_path_decomposition(tree), 2)
+    short = short_decomposition(tree, 2)
     assert sorted(short.paths) == [(0, 1, 2), (2, 3, 4), (4, 5, 6)]
     by_top = {p[0]: short.level[i] for i, p in enumerate(short.paths)}
     assert by_top == {0: 1, 2: 2, 4: 3}
 
 
 def test_shorten_rejects_bad_ell():
-    with pytest.raises(ValueError):
-        shorten(heavy_path_decomposition(caterpillar()), 0)
     with pytest.raises(ValueError):
         short_decomposition(caterpillar(), 0)
 

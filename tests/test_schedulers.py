@@ -510,7 +510,7 @@ def reference_frame_schedule_from_decomps(
     metrics = compute_metrics(instance)
     rng = random.Random(seed)  # draws the offsets, then every frame's delays
     offsets = _draw_offsets(instance, metrics.congestion, ell, rng)
-    assignment = _assignment(instance, decomps, ell, offsets)
+    assignment = _assignment(decomps, offsets)
 
     by_frame: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for (tid, pidx), f in assignment.frame_of.items():
