@@ -102,6 +102,15 @@ def _load_schedule(path: str):
         _fail(f"cannot read schedule {path}: {exc}")
 
 
+def _write(text: str, output: str) -> None:
+    """Echo text to stdout for "-", else write it to the file `output`."""
+    if output == "-":
+        click.echo(text, nl=False)
+    else:
+        with open(output, "w") as fh:
+            fh.write(text)
+
+
 def _run_scheduler(instance, scheduler: str, seed: int, ell, budget):
     """Returns (schedule, assignment-or-None, extra stats dict)."""
     if scheduler == "greedy":
@@ -193,15 +202,6 @@ def _emit_instance(instance, output):
         err=True,
     )
     _write(instance_to_json(instance) + "\n", output)
-
-
-def _write(text: str, output: str) -> None:
-    """Echo text to stdout for "-", else write it to the file `output`."""
-    if output == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
 
 
 @main.command("schedule")
