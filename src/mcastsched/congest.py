@@ -199,13 +199,29 @@ def _make_params(instance, chunk_length, bit_factor) -> _Params:
         counter_bits=_width(max(1, chunk_length - 1)),
         budget=bit_factor * log2_ceil(n),
     )
-    widest = p.rank_bits + p.idx_bits
+    # rank: (rank, idx); preferred: (idx, one bit); refine: (idx, counter)
+    width, phase = max(
+        (p.rank_bits, "rank"), (1, "preferred"), (p.counter_bits, "refine")
+    )
+    widest = p.idx_bits + width
     if widest > p.budget:
         raise ValueError(
-            f"bit budget {p.budget} cannot carry a {widest}-bit rank message; "
+            f"bit budget {p.budget} cannot carry a {widest}-bit {phase} message; "
             f"increase bit_factor"
         )
     return p
+
+
+def _polylog(n: int, k: int, epsilon: float) -> int:
+    """ceil(log2(n)^(k + epsilon)), at least 1; a ValueError naming epsilon
+    when the power is not finite."""
+    try:
+        value = math.log2(max(2, n)) ** (k + epsilon)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"epsilon={epsilon}: log2(n)^({k}+epsilon) is not finite")
+    return max(1, math.ceil(value))
 
 
 def tree_offsets(instance, seed: int | str, span: int) -> dict[int, int]:
@@ -482,7 +498,7 @@ def distributed_rank_decomposition(
     """Three CONGEST phases: rank convergecast, preferred-edge notification,
     and top-down refinement into chunks of length ceil(log2(n)^(1+epsilon))."""
     n = instance.graph.node_count
-    chunk_length = max(1, math.ceil(math.log2(max(2, n)) ** (1 + epsilon)))
+    chunk_length = _polylog(n, 1, epsilon)
     params = _make_params(instance, chunk_length, bit_factor)
     offsets = tree_offsets(instance, seed, params.congestion)
     views = _local_views(instance)
@@ -590,7 +606,7 @@ def distributed_multicast(
         )
         return schedule, dist.rounds + schedule.declared_length
 
-    band = max(1, math.ceil(math.log2(max(2, n)) ** (2 + epsilon)))
+    band = _polylog(n, 2, epsilon)
     span = max(1, math.ceil(compute_metrics(instance).congestion / band))
     offsets = tree_offsets(instance, f"{seed}:mc", span)
     by_frame = defaultdict(list)  # frame -> its slices, as trees 0, 1, ...

@@ -174,8 +174,14 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
+    """Parse a schedule; every field must be an int (not a bool)."""
     doc = json.loads(text)
-    sends = tuple(
-        Send(s["round"], s["from"], s["to"], s["msg"]) for s in doc["sends"]
-    )
+    if type(doc["length"]) is not int:
+        raise ValueError(f"length must be an integer, not {doc['length']!r}")
+    sends = []
+    for s in doc["sends"]:
+        fields = (s["round"], s["from"], s["to"], s["msg"])
+        if any(type(x) is not int for x in fields):
+            raise ValueError(f"send {s}: round, from, to and msg must be integers")
+        sends.append(Send(*fields))
     return Schedule(tuple(sorted(sends, key=lambda s: (s.round, s.u, s.v))), doc["length"])

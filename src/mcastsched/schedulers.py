@@ -124,6 +124,29 @@ def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
     )
 
 
+def _single_hop_length(seqs, delays) -> int:
+    """Rounds that `_route` takes, after its start, for jobs of at most one
+    hop released at start + delay + 1: max over edges of max_k (d_(k) + k),
+    where d_(1) >= d_(2) >= ... are the delays of the edge's jobs.
+
+    Proof: the k jobs of largest delay cannot finish before d_(k) + k; and
+    an edge idles only when nothing waits, so its last busy stretch starts
+    at a release d + 1 and carries only the jobs of delay >= d.
+    """
+    on_edge = defaultdict(list)
+    for seq, d in zip(seqs, delays):
+        if len(seq) == 2:
+            on_edge[norm_edge(*seq)].append(d)
+    return max(
+        (
+            d + k
+            for ds in on_edge.values()
+            for k, d in enumerate(sorted(ds, reverse=True), 1)
+        ),
+        default=0,
+    )
+
+
 def unicast_frame_schedule(
     frame_paths, graph, rng: random.Random, start: int = 0
 ) -> Schedule:
@@ -134,6 +157,11 @@ def unicast_frame_schedule(
     the C'*D' guarantee of plain greedy routing. On each edge the packet
     with the most hops left goes first. The frame begins after round
     `start`: its sends fall in rounds start + 1, start + 2, ...
+
+    When D' = 1, `_single_hop_length` gives the delayed length before
+    routing, so the fallback is decided first and the frame is routed once.
+    When D' >= 2 the same first-hop bound is at most (C' - 1) + C' < C'*D',
+    so it could never fire, and nothing is computed.
     """
     seqs, mids = [], []
     for src, seq, mid in frame_paths:
@@ -159,7 +187,10 @@ def unicast_frame_schedule(
             lambda jid, c, depth: depth - len(seqs[jid]),
         )
 
-    schedule = route([rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs])
+    delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
+    if dprime == 1 and _single_hop_length(seqs, delays) > cprime:
+        delays = [0] * len(seqs)
+    schedule = route(delays)
     if schedule.declared_length - start > cprime * dprime:
         schedule = route([0] * len(seqs))
     assert schedule.declared_length - start <= cprime * dprime or not seqs

@@ -267,6 +267,47 @@ def test_sends_as_string_exits_one(runner, tmp_path, command):
     _assert_clean_error(res, "cannot read schedule")
 
 
+@pytest.mark.parametrize("command", ["validate", "markov-check"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("round", "1"), ("from", "a"), ("to", None), ("msg", [1]), ("round", 1.5),
+     ("round", True), ("length", "1")],
+    ids=["round-str", "from-str", "to-null", "msg-list", "round-float",
+         "round-bool", "length-str"],
+)
+def test_non_integer_schedule_field_exits_one(runner, tmp_path, command, key, value):
+    inst_file = tmp_path / "shared_edge.json"
+    write_shared_edge(inst_file)
+    doc = {"length": 2, "sends": [{"round": 1, "from": 0, "to": 1, "msg": 0},
+                                  {"round": 2, "from": 0, "to": 1, "msg": 1}]}
+    if key == "length":
+        doc["length"] = value
+    else:
+        doc["sends"][1][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, str(inst_file), str(bad)])
+    _assert_clean_error(res, "cannot read schedule", key)
+    assert len(res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "epsilon, needle",
+    [("8", "22-bit refine message"), ("1e6", "epsilon"), ("inf", "epsilon"),
+     ("nan", "epsilon")],
+)
+def test_congest_sim_unrunnable_epsilon_exits_one(runner, tmp_path, epsilon, needle):
+    inst_file = tmp_path / "inst.json"
+    runner.invoke(
+        main,
+        ["gen", "random", "--n", "30", "--trees", "4", "--depth", "3",
+         "--seed", "1", "-o", str(inst_file)],
+    )
+    res = runner.invoke(main, ["congest-sim", str(inst_file), "--epsilon", epsilon])
+    _assert_clean_error(res, needle)
+    assert len(res.output.splitlines()) == 1
+
+
 def test_markov_check_command(runner, tmp_path):
     inst_file = tmp_path / "shared_edge.json"
     write_shared_edge(inst_file)

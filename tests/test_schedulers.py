@@ -15,6 +15,7 @@ from mcastsched import (
     Schedule,
     SeedSearchError,
     Send,
+    build_lowerbound,
     build_short_decompositions,
     compute_metrics,
     deterministic_schedule,
@@ -496,6 +497,45 @@ def test_unicast_frame_matches_reference_when_fallback_fires():
         assert rng.random() == ref_rng.random()
         fired += fell_back
     assert fired >= 10  # 17 of the 200 frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    k=st.integers(0, 20),
+    start=st.integers(0, 5),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_single_hop_length_matches_route(n, k, start, seed, data):
+    """The closed form that decides a D' = 1 frame's fallback equals the
+    length `_route` takes for the same delays, any delays in [0, C')."""
+    seqs = [seq for _, seq, _ in random_frame(random.Random(seed), n, k, 1)]
+    load = Counter(norm_edge(*seq) for seq in seqs if len(seq) == 2)
+    cprime = max(load.values(), default=1)
+    delays = data.draw(
+        st.lists(st.integers(0, cprime - 1), min_size=len(seqs), max_size=len(seqs))
+    )
+    routed = schedulers._route(
+        [(start + d + 1, jid, 0, seq[0]) for jid, (seq, d) in enumerate(zip(seqs, delays))],
+        lambda jid, node, depth: seqs[jid][depth + 1 : depth + 2],
+        lambda jid, c, depth: depth - len(seqs[jid]),
+    )
+    want = routed.declared_length - start if routed.sends else 0
+    assert schedulers._single_hop_length(seqs, delays) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_frames_route_each_frame_once(monkeypatch, seed):
+    """At these seeds the lower-bound family's single-hop frame draws delays
+    that overshoot C', so the zero-delay fallback fires; it is decided before
+    routing, and `_route` runs once per frame."""
+    inst = build_lowerbound(4, 2).instance
+    calls = []
+    real = schedulers._route
+    monkeypatch.setattr(schedulers, "_route", lambda *a: calls.append(1) or real(*a))
+    _, assignment = frame_multicast_schedule(inst, seed)
+    assert len(calls) == len(set(assignment.frame_of.values()))
 
 
 # --- differential: the frames driver against the loop it replaced ----------
