@@ -1,6 +1,6 @@
 """Golden fixtures: the SHA-256 of `schedule_to_json` and the length of every
-scheduler's output on a fixed corpus, plus the round count and decomposition
-of `distributed_rank_decomposition`.
+scheduler's output on a fixed corpus, plus the round count, decomposition,
+per-phase transcripts and ranks of `distributed_rank_decomposition`.
 
 Any change to a schedule's bytes fails here. When a change means to alter
 output, regenerate the fixtures with
@@ -60,6 +60,10 @@ def fingerprint(schedule) -> dict:
     }
 
 
+def sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
 def deterministic_result(instance) -> dict:
     """The seed search at budget ceil(1.25 * ell), or its best miss."""
     budget = math.ceil(1.25 * log2_ceil(instance.graph.node_count))
@@ -98,6 +102,13 @@ def compute(name: str) -> dict:
             ),
             "rank_rounds": dist.rounds,
             "rank_chunks_sha256": hashlib.sha256(chunks.encode()).hexdigest(),
+            # every phase's rounds as ordered (edge, bits) items
+            "rank_transcripts_sha256": sha256_json(
+                [[list(rnd.items()) for rnd in tr.rounds] for tr in dist.transcripts]
+            ),
+            "ranks_sha256": sha256_json(
+                [[tid, sorted(dist.ranks[tid].rank.items())] for tid in sorted(dist.ranks)]
+            ),
         }
     return out
 
