@@ -241,7 +241,7 @@ def cmd_schedule(instance_file, scheduler, seed, ell, budget, output):
     if assignment is not None:
         profile = frame_congestion_profile(instance, assignment)
         stats += (
-            f" frames={assignment.frame_count + 1}"
+            f" frames={assignment.frame_count}"
             f" max_frame_congestion={profile.max_frame_congestion}"
         )
     for k, v in extra.items():
@@ -419,7 +419,7 @@ def _bench_row(instance, metrics, scheduler, seed) -> dict:
         row["length"] = sched.declared_length
         if assignment is not None:
             profile = frame_congestion_profile(instance, assignment)
-            row["frame_count"] = assignment.frame_count + 1
+            row["frame_count"] = assignment.frame_count
             row["max_frame_congestion"] = profile.max_frame_congestion
     except Exception as exc:  # per-row failure, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"

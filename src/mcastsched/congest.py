@@ -174,7 +174,6 @@ def _width(max_value: int) -> int:
 
 @dataclass(frozen=True)
 class _Params:
-    n: int
     congestion: int
     dilation: int
     chunk_length: int
@@ -190,7 +189,6 @@ def _make_params(instance, chunk_length, bit_factor) -> _Params:
     c = max(1, metrics.congestion)
     d = max(1, metrics.dilation)
     p = _Params(
-        n=n,
         congestion=c,
         dilation=d,
         chunk_length=chunk_length,
@@ -233,35 +231,24 @@ def tree_offsets(instance, seed: int | str, span: int) -> dict[int, int]:
     }
 
 
-def _local_views(instance):
-    """Per-node initial knowledge: incident trees with parent/children roles."""
-    views: dict[int, dict[int, tuple[int | None, tuple[int, ...]]]] = defaultdict(dict)
-    for t in instance.trees:
-        for v in t.depth:
-            parent = None if v == t.root else t.parent[v]
-            views[v][t.tree_id] = (parent, tuple(t.children.get(v, ())))
-    return views
+@dataclass(slots=True)
+class _NodeRecord:
+    """One node's knowledge across the three phases: for each tree through
+    it, its parent there (None at the root) and its children; the edge-tree
+    table; and what the phases leave behind (rank and preferred child from
+    the rank phase, the parent-edge counter from the refine phase)."""
 
-
-class _PhaseProgram:
-    """Common plumbing: per-neighbor message queues drained under the bit
-    budget, and work held until the frame reaches its tree's offset X_T."""
-
-    def __init__(self, node, view, edge_trees, params, offsets):
-        self.node = node
-        self.view = view
-        self.edge_trees = edge_trees  # filled on first use, shared by the phases
-        self.params = params
-        self.offsets = offsets
-        self.queues: dict[int, deque[str]] = defaultdict(deque)
-        self.busy = False
-        self.held: dict[int, list[int]] = defaultdict(list)  # frame -> tids
+    trees: dict = field(default_factory=dict)  # tid -> (parent, children)
+    edge_trees: dict = field(default_factory=dict)  # nbr -> tids; filled on first use
+    rank: dict = field(default_factory=dict)  # tid -> own rank
+    preferred: dict = field(default_factory=dict)  # tid -> child at the top rank
+    counter: dict = field(default_factory=dict)  # tid -> parent-edge counter
 
     def trees_on_edge(self, nbr) -> list[int]:
         """Ids of the trees using the edge to `nbr`, ascending: identical at
         both endpoints, so a tree's position is its message tag there."""
         if not self.edge_trees:
-            for tid, (parent, children) in self.view.items():
+            for tid, (parent, children) in self.trees.items():
                 if parent is not None:
                     self.edge_trees.setdefault(parent, []).append(tid)
                 for c in children:
@@ -269,6 +256,22 @@ class _PhaseProgram:
             for tids in self.edge_trees.values():
                 tids.sort()
         return self.edge_trees[nbr]
+
+
+class _PhaseProgram:
+    """Common plumbing: per-neighbor message queues drained under the bit
+    budget, work held until the frame reaches its tree's offset X_T, and
+    `expect`, the events still awaited. Results go into the node's record;
+    the program itself ends with its phase."""
+
+    def __init__(self, record: _NodeRecord, params, offsets):
+        self.record = record
+        self.params = params
+        self.offsets = offsets
+        self.queues: dict[int, deque[str]] = defaultdict(deque)
+        self.busy = False
+        self.held: dict[int, list[int]] = defaultdict(list)  # frame -> tids
+        self.expect = 0
 
     def hold(self, tid):
         self.held[self.offsets[tid]].append(tid)
@@ -300,40 +303,39 @@ class _PhaseProgram:
         self.busy = busy
         return out
 
+    @property
+    def done(self) -> bool:
+        return not self.held and not self.expect and not self.busy
+
 
 class _RankProgram(_PhaseProgram):
     """Bottom-up rank convergecast. Leaves of tree T start once frame X_T is
     reached; internal nodes report to their parent as soon as every child has.
-    Each message carries (rank, edge-tree index)."""
+    Each message carries (rank, edge-tree index). `expect` counts the roots
+    still waiting for their rank."""
 
-    def __init__(self, node, view, edge_trees, params, offsets):
-        super().__init__(node, view, edge_trees, params, offsets)
+    def __init__(self, record, params, offsets):
+        super().__init__(record, params, offsets)
         self.waiting = {}  # tid -> number of children still silent
         self.top = {}  # tid -> highest child rank so far
         self.ties = {}  # tid -> number of children at that rank
-        self.preferred = {}  # tid -> smallest child id at that rank
-        self.rank = {}  # tid -> own rank
-        self.root_waiting = set()
-        for tid, (parent, children) in view.items():
+        for tid, (parent, children) in record.trees.items():
             if children:
                 self.waiting[tid] = len(children)
                 if parent is None:
-                    self.root_waiting.add(tid)
+                    self.expect += 1
             else:
-                self.rank[tid] = 0
-                self.hold(tid)
-
-    def _msg(self, tid, parent) -> str:
-        return _bits(self.rank[tid], self.params.rank_bits) + _bits(
-            self.trees_on_edge(parent).index(tid), self.params.idx_bits
-        )
+                record.rank[tid] = 0
+                if parent is not None:
+                    self.hold(tid)
 
     def step(self, frame, inbox):
         p = self.params
+        rec = self.record
         width = p.rank_bits + p.idx_bits
         ready = self.release(frame)  # leaves whose tree starts now
         for nbr, payload in inbox.items():
-            trees = self.trees_on_edge(nbr)
+            trees = rec.trees_on_edge(nbr)
             for i in range(0, len(payload), width):
                 msg = payload[i : i + width]
                 rank = int(msg[: p.rank_bits], 2)
@@ -341,26 +343,25 @@ class _RankProgram(_PhaseProgram):
                 tid = trees[idx]
                 top = self.top.get(tid, -1)
                 if rank > top:
-                    self.top[tid], self.ties[tid], self.preferred[tid] = rank, 1, nbr
+                    self.top[tid], self.ties[tid], rec.preferred[tid] = rank, 1, nbr
                 elif rank == top:
                     self.ties[tid] += 1
-                    self.preferred[tid] = min(self.preferred[tid], nbr)
+                    rec.preferred[tid] = min(rec.preferred[tid], nbr)
                 self.waiting[tid] -= 1
                 if not self.waiting[tid]:
                     top = self.top[tid]
-                    self.rank[tid] = top + 1 if self.ties[tid] > 1 else top
-                    if self.view[tid][0] is not None:
+                    rec.rank[tid] = top + 1 if self.ties[tid] > 1 else top
+                    if rec.trees[tid][0] is not None:
                         ready.append(tid)
                     else:
-                        self.root_waiting.discard(tid)
+                        self.expect -= 1
         for tid in sorted(ready):
-            parent = self.view[tid][0]
-            self.queues[parent].append(self._msg(tid, parent))
+            parent = rec.trees[tid][0]
+            idx = rec.trees_on_edge(parent).index(tid)
+            self.queues[parent].append(
+                _bits(rec.rank[tid], p.rank_bits) + _bits(idx, p.idx_bits)
+            )
         return self.drain()
-
-    @property
-    def done(self) -> bool:
-        return not self.held and not self.root_waiting and not self.busy
 
 
 class _PreferredProgram(_PhaseProgram):
@@ -373,83 +374,68 @@ class _PreferredProgram(_PhaseProgram):
     their rounds and bits are part of the reported CONGEST cost. A node only
     counts them, to know when it is done."""
 
-    def __init__(
-        self, node, view, edge_trees, params, offsets, preferred: dict[int, int]
-    ):
-        super().__init__(node, view, edge_trees, params, offsets)
-        self.preferred = preferred  # tid -> preferred child, from the rank phase
-        self.expect = 0  # parent-edge bits still to arrive
-        for tid, (parent, children) in view.items():
+    def __init__(self, record, params, offsets):
+        super().__init__(record, params, offsets)
+        for tid, (parent, children) in record.trees.items():
             if children:
                 self.hold(tid)
             if parent is not None:
-                self.expect += 1
+                self.expect += 1  # parent-edge bits still to arrive
 
     def step(self, frame, inbox):
         p = self.params
+        rec = self.record
         width = p.idx_bits + 1
         for payload in inbox.values():
             self.expect -= len(payload) // width
         for tid in sorted(self.release(frame)):
-            best = self.preferred[tid]
-            for c in self.view[tid][1]:
-                idx = self.trees_on_edge(c).index(tid)
+            best = rec.preferred[tid]
+            for c in rec.trees[tid][1]:
+                idx = rec.trees_on_edge(c).index(tid)
                 bit = "1" if c == best else "0"
                 self.queues[c].append(_bits(idx, p.idx_bits) + bit)
         return self.drain()
-
-    @property
-    def done(self) -> bool:
-        return not self.held and not self.expect and not self.busy
 
 
 class _RefineProgram(_PhaseProgram):
     """Top-down chunk refinement: a counter walks down each preferred chain
     and wraps modulo the chunk length; light edges restart it at zero."""
 
-    def __init__(
-        self, node, view, edge_trees, params, offsets, preferred: dict[int, int]
-    ):
-        super().__init__(node, view, edge_trees, params, offsets)
-        self.preferred = preferred  # tid -> preferred child at this node
-        self.counter = {}  # tid -> position mod chunk_length of own parent edge
-        self.expect = 0  # parent-edge counters still to arrive
-        for tid, (parent, children) in view.items():
+    def __init__(self, record, params, offsets):
+        super().__init__(record, params, offsets)
+        for tid, (parent, children) in record.trees.items():
             if parent is not None:
-                self.expect += 1
+                self.expect += 1  # parent-edge counters still to arrive
             elif children:
                 self.hold(tid)
 
     def _emit(self, tid, own_counter):
         p = self.params
-        _, children = self.view[tid]
-        for c in children:
-            if c == self.preferred.get(tid) and own_counter is not None:
+        rec = self.record
+        for c in rec.trees[tid][1]:
+            if c == rec.preferred.get(tid) and own_counter is not None:
                 val = (own_counter + 1) % p.chunk_length
             else:
                 val = 0
-            idx = self.trees_on_edge(c).index(tid)
+            idx = rec.trees_on_edge(c).index(tid)
             self.queues[c].append(_bits(idx, p.idx_bits) + _bits(val, p.counter_bits))
 
     def step(self, frame, inbox):
         p = self.params
+        rec = self.record
         width = p.idx_bits + p.counter_bits
         for nbr, payload in inbox.items():
-            trees = self.trees_on_edge(nbr)
+            trees = rec.trees_on_edge(nbr)
             for i in range(0, len(payload), width):
                 msg = payload[i : i + width]
                 tid = trees[int(msg[: p.idx_bits], 2)]
                 val = int(msg[p.idx_bits :], 2)
-                self.counter[tid] = val
+                rec.counter[tid] = val
                 self.expect -= 1
                 self._emit(tid, val)
         for tid in self.release(frame):  # roots whose tree starts now
             self._emit(tid, None)
         return self.drain()
-
-    @property
-    def done(self) -> bool:
-        return not self.held and not self.expect and not self.busy
 
 
 @dataclass
@@ -461,15 +447,16 @@ class DistributedDecomposition:
     transcripts: list[CongestTranscript]
 
 
-def _assemble_chunks(tree, preferred, counter) -> PathDecomposition:
+def _assemble_chunks(tree, records) -> PathDecomposition:
     """Rebuild the chunked paths from per-node counters: an edge whose child
     counter is zero opens a chunk; the chunk follows preferred edges until
     the counter wraps. Chunks open in tree.depth order (parents first), so
     the chunk entering a chunk's top node is already built: the new chunk's
     level is that chunk's plus 1 (1 at the root)."""
+    tid = tree.tree_id
     chunks, edge_to_path, level = [], {}, {}
     for u in tree.depth:
-        if u == tree.root or counter[u] != 0:
+        if u == tree.root or records[u].counter[tid] != 0:
             continue
         top = tree.parent[u]
         pid = len(chunks)
@@ -479,11 +466,11 @@ def _assemble_chunks(tree, preferred, counter) -> PathDecomposition:
         )
         seq = [top, u]
         edge_to_path[norm_edge(top, u)] = pid
-        cur = preferred.get(u)
-        while cur is not None and counter[cur] != 0:
+        cur = records[u].preferred.get(tid)
+        while cur is not None and records[cur].counter[tid] != 0:
             edge_to_path[norm_edge(seq[-1], cur)] = pid
             seq.append(cur)
-            cur = preferred.get(cur)
+            cur = records[cur].preferred.get(tid)
         chunks.append(tuple(seq))
     return PathDecomposition(tuple(chunks), edge_to_path, level, "short-refined")
 
@@ -496,62 +483,41 @@ def distributed_rank_decomposition(
     max_rounds: int | None = None,
 ) -> DistributedDecomposition:
     """Three CONGEST phases: rank convergecast, preferred-edge notification,
-    and top-down refinement into chunks of length ceil(log2(n)^(1+epsilon))."""
+    and top-down refinement into chunks of length ceil(log2(n)^(1+epsilon)).
+    Each phase's programs live only while the phase runs; what a node learns
+    stays in its record."""
     n = instance.graph.node_count
     chunk_length = _polylog(n, 1, epsilon)
     params = _make_params(instance, chunk_length, bit_factor)
     offsets = tree_offsets(instance, seed, params.congestion)
-    views = _local_views(instance)
     network = CongestNetwork(instance.graph, bit_factor)
     if max_rounds is None:
         max_rounds = 256 + 64 * (params.congestion + params.dilation)
 
-    nodes = sorted(set(views) | set(range(instance.graph.node_count)))
-    edge_trees = {v: {} for v in nodes}  # per node: neighbor -> tree ids
-    rank_progs = {
-        v: _RankProgram(v, views.get(v, {}), edge_trees[v], params, offsets)
-        for v in nodes
-    }
-    t1 = run_congest(network, rank_progs, max_rounds)
-
-    pref_progs = {
-        v: _PreferredProgram(
-            v, views.get(v, {}), edge_trees[v], params, offsets, rank_progs[v].preferred
+    records = {v: _NodeRecord() for v in range(n)}
+    for t in instance.trees:
+        for v in t.depth:
+            parent = None if v == t.root else t.parent[v]
+            records[v].trees[t.tree_id] = (parent, t.children[v])
+    transcripts = [
+        run_congest(
+            network,
+            {v: phase(rec, params, offsets) for v, rec in records.items()},
+            max_rounds,
         )
-        for v in nodes
-    }
-    t2 = run_congest(network, pref_progs, max_rounds)
-
-    refine_progs = {
-        v: _RefineProgram(
-            v, views.get(v, {}), edge_trees[v], params, offsets,
-            pref_progs[v].preferred,
-        )
-        for v in nodes
-    }
-    t3 = run_congest(network, refine_progs, max_rounds)
+        for phase in (_RankProgram, _PreferredProgram, _RefineProgram)
+    ]
 
     decomps = {}
     ranks = {}
     for t in instance.trees:
         if t.max_depth == 0:
             continue
-        preferred = {}
-        counter = {}
-        rank = {}
-        for v in t.depth:
-            rank[v] = rank_progs[v].rank[t.tree_id]
-            if t.children.get(v):
-                preferred[v] = pref_progs[v].preferred[t.tree_id]
-            if v != t.root:
-                counter[v] = refine_progs[v].counter[t.tree_id]
-        decomps[t.tree_id] = _assemble_chunks(t, preferred, counter)
-        ranks[t.tree_id] = RankMap(rank)
+        decomps[t.tree_id] = _assemble_chunks(t, records)
+        ranks[t.tree_id] = RankMap({v: records[v].rank[t.tree_id] for v in t.depth})
 
-    rounds = t1.total_rounds + t2.total_rounds + t3.total_rounds
-    return DistributedDecomposition(
-        decomps, ranks, chunk_length, rounds, [t1, t2, t3]
-    )
+    rounds = sum(tr.total_rounds for tr in transcripts)
+    return DistributedDecomposition(decomps, ranks, chunk_length, rounds, transcripts)
 
 
 def _level_range_slices(tree, band: int):

@@ -20,8 +20,12 @@ class FrameAssignment:
 
     offset: dict[int, int]  # tree_id -> offset
     frame_of: dict[tuple[int, int], int]  # (tree_id, path index) -> frame
-    frame_count: int
     chunks: dict[int, PathDecomposition]  # tree_id -> short decomposition
+
+    @property
+    def frame_count(self) -> int:
+        """Frames the driver runs: frame numbers no chunk falls in are skipped."""
+        return len(set(self.frame_of.values()))
 
 
 @dataclass(frozen=True)
@@ -208,15 +212,12 @@ def build_short_decompositions(
 
 
 def _assignment(decomps, offsets) -> FrameAssignment:
-    frame_of = {}
-    frame_count = 0
-    for tid, dec in decomps.items():
-        off = offsets[tid]
-        for pidx in range(len(dec.paths)):
-            f = dec.level[pidx] + off
-            frame_of[(tid, pidx)] = f
-            frame_count = max(frame_count, f)
-    return FrameAssignment(dict(offsets), frame_of, frame_count, decomps)
+    frame_of = {
+        (tid, pidx): dec.level[pidx] + offsets[tid]
+        for tid, dec in decomps.items()
+        for pidx in range(len(dec.paths))
+    }
+    return FrameAssignment(dict(offsets), frame_of, decomps)
 
 
 def frame_schedule_from_decomps(

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
 import mcastsched.congest as congest_module
+import mcastsched.schedulers as schedulers_module
 from mcastsched import (
     build_short_decompositions,
     compute_metrics,
@@ -97,6 +99,37 @@ def test_schedule_validate_roundtrip(runner, tmp_path, scheduler):
     inst = instance_from_json(inst_file.read_text())
     sched = schedule_from_json(sched_file.read_text())
     assert simulate(inst, sched).valid
+
+
+@pytest.mark.parametrize(
+    "gen_args",
+    [
+        ["lowerbound", "--congestion", "4", "--depth", "2"],
+        ["random", "--n", "40", "--trees", "6", "--depth", "5", "--seed", "3"],
+        ["layered", "--n", "64", "--congestion", "8", "--depth", "12", "--seed", "1"],
+    ],
+    ids=["lowerbound-4-2", "random-40", "layered-64"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_schedule_frames_counts_frames_run(runner, tmp_path, monkeypatch, gen_args, seed):
+    """`frames=` is the number of frames routed, one per
+    `unicast_frame_schedule` call; frame numbers no chunk falls in are not
+    counted."""
+    inst_file = tmp_path / "inst.json"
+    res = runner.invoke(main, ["gen", *gen_args, "-o", str(inst_file)])
+    assert res.exit_code == 0, res.output
+    calls = []
+    route = schedulers_module.unicast_frame_schedule
+    monkeypatch.setattr(
+        schedulers_module,
+        "unicast_frame_schedule",
+        lambda *a: calls.append(1) or route(*a),
+    )
+    res = runner.invoke(
+        main, ["schedule", str(inst_file), "--scheduler", "frames", "--seed", str(seed)]
+    )
+    assert res.exit_code == 0, res.output
+    assert int(re.search(r" frames=(\d+)", res.output).group(1)) == len(calls)
 
 
 def test_schedule_greedy_shared_edge_length_two(runner, tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter, defaultdict
 
 import pytest
@@ -336,6 +338,25 @@ def test_event_driver_matches_lockstep(monkeypatch, make, seed, bit_factor):
         assert any(busy_seen)
 
 
+def test_phase_programs_die_with_their_phase(monkeypatch):
+    """What a node learns in one phase lives in its record, so no program of
+    a phase is reachable once the next phase starts."""
+    inst = gen_random_instance(200, 30, 6, 3)
+    refs = []  # one program of each phase started so far
+    dead_at_start = []  # per phase: which earlier phases' programs are gone
+    run = congest_module.run_congest
+
+    def spy(network, programs, max_rounds):
+        gc.collect()
+        dead_at_start.append([ref() is None for ref in refs])
+        refs.append(weakref.ref(next(iter(programs.values()))))
+        return run(network, programs, max_rounds)
+
+    monkeypatch.setattr(congest_module, "run_congest", spy)
+    distributed_rank_decomposition(inst, seed=1)
+    assert dead_at_start == [[], [True], [True, True]]
+
+
 def test_event_driver_steps_well_below_lockstep():
     inst = gen_random_instance(300, 20, 8, 0)
     dist = distributed_rank_decomposition(inst, seed=0)
@@ -371,6 +392,21 @@ def test_single_edge_tree_instance():
     assert sorted(dist.decompositions[0].paths) == [(0, 1)]
     sched, _ = distributed_multicast(inst, depths_known=True)
     assert simulate(inst, sched).valid
+
+
+def test_root_only_tree_sends_nothing():
+    """A tree that is only its root has no parent edge to report its rank
+    on: the phases run as if it were absent."""
+    g = Graph.build(3, [(0, 1), (1, 2)])
+    path = MulticastTree(0, 0, {1: 0, 2: 1}, 0)
+    alone = distributed_rank_decomposition(MulticastInstance.build(g, [path]))
+    inst = MulticastInstance.build(g, [path, MulticastTree(1, 2, {}, 1)])
+    dist = distributed_rank_decomposition(inst)
+    assert [tr.rounds for tr in dist.transcripts] == [
+        tr.rounds for tr in alone.transcripts
+    ]
+    assert dist.decompositions == alone.decompositions
+    assert dist.ranks == alone.ranks
 
 
 # --- differential: depths-known multicast against the loop it replaced -----
