@@ -524,11 +524,9 @@ def _level_range_slices(tree, band: int):
     """Split a tree into forests of `band` consecutive depth levels; yields
     (range_index, component trees as (root, parent map))."""
     ranges = defaultdict(dict)
-    for c, p in tree.parent.items():
-        if c not in tree.depth or c == tree.root:
-            continue
-        r = (tree.depth[c] - 1) // band
-        ranges[r][c] = p
+    for c, d in tree.depth.items():  # fixed by the tree, unlike parent-map order
+        if c != tree.root:
+            ranges[(d - 1) // band][c] = tree.parent[c]
     for r in sorted(ranges):
         parent = ranges[r]
         kids = defaultdict(list)

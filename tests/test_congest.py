@@ -25,6 +25,8 @@ from mcastsched import (
     frame_multicast_schedule,
     gen_layered_instance,
     gen_random_instance,
+    instance_from_json,
+    instance_to_json,
     log2_ceil,
     message_size_audit,
     rank_decomposition,
@@ -498,6 +500,28 @@ def assert_matches_reference(inst, epsilon, seed):
 )
 def test_depths_known_matches_reference(inst, epsilon, seed):
     assert_matches_reference(inst, epsilon, seed)
+
+
+def reversed_parent_maps(instance):
+    """The same instance with every parent map in reverse insertion order."""
+    trees = [
+        MulticastTree(t.tree_id, t.root, dict(reversed(t.parent.items())), t.message_id)
+        for t in instance.trees
+    ]
+    return MulticastInstance.build(instance.graph, trees)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inst=small_instances,
+    epsilon=st.sampled_from((-1.5, -1.0, -0.5)),
+    seed=st.integers(0, 10**6),
+)
+def test_depths_known_ignores_parent_map_order(inst, epsilon, seed):
+    """The schedule depends on the trees, not on how their maps were filled."""
+    want = distributed_multicast(inst, epsilon, seed, depths_known=True)
+    for same in (instance_from_json(instance_to_json(inst)), reversed_parent_maps(inst)):
+        assert distributed_multicast(same, epsilon, seed, depths_known=True) == want
 
 
 @pytest.mark.parametrize(
