@@ -7,7 +7,8 @@ output, regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say which output changed and why.
+which prints every changed value as old → new, and say which output changed
+and why.
 """
 
 import hashlib
@@ -135,10 +136,22 @@ def test_golden_matches_benchmark_reference(golden):
             assert mine["length"] == ref["length"][scheduler], (seed, scheduler)
 
 
+def leaves(value, key=()):
+    """Yield (key path, value) for every non-dict value in a nested dict."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from leaves(value[k], key + (k,))
+    else:
+        yield key, value
+
+
 if __name__ == "__main__":
+    fresh = {name: compute(name) for name in sorted(CORPUS)}
+    old = dict(leaves(json.loads(GOLDEN.read_text()))) if GOLDEN.exists() else {}
+    new = dict(leaves(fresh))
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(f"{'/'.join(key)}: {old.get(key)} → {new.get(key)}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps({name: compute(name) for name in sorted(CORPUS)}, indent=1, sort_keys=True)
-        + "\n"
-    )
+    GOLDEN.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
