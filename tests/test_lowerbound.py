@@ -1,16 +1,22 @@
+import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 
 import pytest
 
 from mcastsched import (
+    Graph,
+    LowerBoundInstance,
+    MulticastInstance,
+    MulticastTree,
     build_lowerbound,
     check_lemmas,
     compute_metrics,
     exhaustive_opt,
     gen_random_instance,
     greedy_schedule,
+    instance_to_json,
     interleave,
     interleavings,
     markov_delay_check,
@@ -145,6 +151,148 @@ def test_pad_to_n():
     assert validate_instance(inst) == []
     m = compute_metrics(inst)
     assert (m.congestion, m.dilation) == (2, 2)
+
+
+# --- differential: the construction against the one it replaced -----------
+# Sub-gadget roots used to be fresh nodes, merged with their guess vertices
+# through a union-find and renumbered densely in order of first appearance;
+# each label's tree was then re-rooted by a BFS over its undirected edges.
+# That code is kept verbatim as the reference.
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent.get(root, root) != root:
+            root = self.parent[root]
+        while self.parent.get(x, x) != x:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def _construct(sets, alloc, uf, edges):
+    """Build the gadget for one partition; returns root node per label set index.
+
+    alloc yields fresh raw node ids; edges accumulates (u, v, labelset) with
+    raw ids; uf records the step-3 identifications of sub-roots with their
+    guess vertices.
+    """
+    if len(sets) == 1:
+        r, v = next(alloc), next(alloc)
+        edges.append((r, v, sets[0]))
+        return {0: r}
+
+    roots = {}
+    joint = {}
+    for i in range(len(sets) // 2):
+        r1, r2, vi = next(alloc), next(alloc), next(alloc)
+        edges.append((r1, vi, sets[2 * i]))
+        edges.append((r2, vi, sets[2 * i + 1]))
+        roots[2 * i] = r1
+        roots[2 * i + 1] = r2
+        joint[i] = vi
+    for combo in interleavings(sets):
+        sub_roots = _construct(tuple(combo), alloc, uf, edges)
+        for i, _ in enumerate(combo):
+            uf.union(sub_roots[i], joint[i])
+    return roots
+
+
+def reference_build_lowerbound(
+    congestion: int, depth: int, bit_cap: int = 64
+) -> LowerBoundInstance:
+    """Recursive construction over congestion*2^(depth-1) labels; every edge
+    carries exactly `congestion` labels and every label induces a tree of
+    depth exactly `depth`."""
+    if congestion < 2 or congestion % 2 != 0:
+        raise ValueError("congestion must be even and >= 2")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if congestion * 2 ** (depth + 1) > bit_cap:
+        raise ValueError(
+            f"parameters too large: congestion*2^(depth+1) = "
+            f"{congestion * 2 ** (depth + 1)} exceeds cap {bit_cap} "
+            f"(node count may reach 2^{congestion * 2 ** (depth + 1)})"
+        )
+    labels = list(range(congestion * 2 ** (depth - 1)))
+    sets = tuple(
+        frozenset(labels[i * congestion : (i + 1) * congestion])
+        for i in range(2 ** (depth - 1))
+    )
+    alloc, uf = itertools.count(), _UnionFind()
+    raw_edges: list[tuple[int, int, frozenset]] = []
+    top_roots = _construct(sets, alloc, uf, raw_edges)
+
+    dense: dict[int, int] = {}
+
+    def node_id(raw: int) -> int:
+        rep = uf.find(raw)
+        if rep not in dense:
+            dense[rep] = len(dense)
+        return dense[rep]
+
+    label_edges: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    graph_edges = []
+    for u, v, labelset in raw_edges:
+        a, b = node_id(u), node_id(v)
+        graph_edges.append(norm_edge(a, b))
+        for lab in labelset:
+            label_edges[lab].append((a, b))
+
+    label_root = {}
+    for idx, r in top_roots.items():
+        for lab in sets[idx]:
+            label_root[lab] = node_id(r)
+
+    n = len(dense)
+    graph = Graph.build(n, graph_edges)
+    trees = []
+    for lab in labels:
+        # root each label's edge set by a BFS walk from the label's root
+        adj = defaultdict(list)
+        for a, b in label_edges[lab]:
+            adj[a].append(b)
+            adj[b].append(a)
+        root = label_root[lab]
+        parent: dict[int, int] = {}
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        parent[y] = x
+                        nxt.append(y)
+            frontier = nxt
+        trees.append(MulticastTree(lab, root, parent, lab))
+
+    instance = MulticastInstance.build(graph, trees)
+    problems = validate_instance(instance)
+    if problems:
+        raise AssertionError(f"construction produced invalid instance: {problems[:3]}")
+    return LowerBoundInstance(instance)
+
+
+DIFFERENTIAL_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2), (4, 3),
+                      (6, 1), (6, 2), (8, 1), (8, 2)]
+
+
+@pytest.mark.parametrize("c,d", DIFFERENTIAL_CASES)
+def test_build_matches_reference_construction(c, d):
+    want = reference_build_lowerbound(c, d).instance
+    got = build_lowerbound(c, d).instance
+    assert instance_to_json(got) == instance_to_json(want)
+    assert [t.root for t in got.trees] == [t.root for t in want.trees]
+    assert [t.parent for t in got.trees] == [t.parent for t in want.trees]
 
 
 # --- markov delay check ----------------------------------------------------
