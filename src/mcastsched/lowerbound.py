@@ -51,50 +51,27 @@ def interleavings(sets: tuple[frozenset, ...]):
     return itertools.product(*pair_choices)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
+def _construct(sets, roots, alloc, edges):
+    """Build the gadget for one partition, hanging sets[i] from roots[i].
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _construct(sets, alloc, uf, edges):
-    """Build the gadget for one partition; returns root node per label set index.
-
-    alloc yields fresh raw node ids; edges accumulates (u, v, labelset) with
-    raw ids; uf records the step-3 identifications of sub-roots with their
-    guess vertices.
+    alloc yields fresh node ids, in the order nodes first appear in `edges`,
+    which accumulates (parent, child, label set). The top level passes
+    roots=None and gets fresh roots; every sub-gadget is rooted at the guess
+    vertices one level up (step 3 of the construction).
     """
+    pick = alloc if roots is None else iter(roots)
     if len(sets) == 1:
-        r, v = next(alloc), next(alloc)
+        r, v = next(pick), next(alloc)
         edges.append((r, v, sets[0]))
-        return {0: r}
-
-    roots = {}
-    joint = {}
-    for i in range(len(sets) // 2):
-        r1, r2, vi = next(alloc), next(alloc), next(alloc)
-        edges.append((r1, vi, sets[2 * i]))
-        edges.append((r2, vi, sets[2 * i + 1]))
-        roots[2 * i] = r1
-        roots[2 * i + 1] = r2
-        joint[i] = vi
+        return
+    joint = []
+    for i in range(0, len(sets), 2):
+        r1, vi, r2 = next(pick), next(alloc), next(pick)
+        edges.append((r1, vi, sets[i]))
+        edges.append((r2, vi, sets[i + 1]))
+        joint.append(vi)
     for combo in interleavings(sets):
-        sub_roots = _construct(tuple(combo), alloc, uf, edges)
-        for i, _ in enumerate(combo):
-            uf.union(sub_roots[i], joint[i])
-    return roots
+        _construct(combo, joint, alloc, edges)
 
 
 def build_lowerbound(
@@ -118,54 +95,18 @@ def build_lowerbound(
         frozenset(labels[i * congestion : (i + 1) * congestion])
         for i in range(2 ** (depth - 1))
     )
-    alloc, uf = itertools.count(), _UnionFind()
-    raw_edges: list[tuple[int, int, frozenset]] = []
-    top_roots = _construct(sets, alloc, uf, raw_edges)
+    alloc = itertools.count()
+    edges: list[tuple[int, int, frozenset]] = []
+    _construct(sets, None, alloc, edges)
 
-    dense: dict[int, int] = {}
-
-    def node_id(raw: int) -> int:
-        rep = uf.find(raw)
-        if rep not in dense:
-            dense[rep] = len(dense)
-        return dense[rep]
-
-    label_edges: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    graph_edges = []
-    for u, v, labelset in raw_edges:
-        a, b = node_id(u), node_id(v)
-        graph_edges.append(norm_edge(a, b))
+    parents: dict[int, dict[int, int]] = {lab: {} for lab in labels}
+    for p, c, labelset in edges:
         for lab in labelset:
-            label_edges[lab].append((a, b))
-
-    label_root = {}
-    for idx, r in top_roots.items():
-        for lab in sets[idx]:
-            label_root[lab] = node_id(r)
-
-    n = len(dense)
-    graph = Graph.build(n, graph_edges)
-    trees = []
-    for lab in labels:
-        # root each label's edge set by a BFS walk from the label's root
-        adj = defaultdict(list)
-        for a, b in label_edges[lab]:
-            adj[a].append(b)
-            adj[b].append(a)
-        root = label_root[lab]
-        parent: dict[int, int] = {}
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        parent[y] = x
-                        nxt.append(y)
-            frontier = nxt
-        trees.append(MulticastTree(lab, root, parent, lab))
+            parents[lab][c] = p
+    # the top level's first edges hang sets[0], sets[1], ... from their roots
+    root = {lab: edges[i][0] for i, s in enumerate(sets) for lab in s}
+    graph = Graph.build(next(alloc), [(p, c) for p, c, _ in edges])
+    trees = [MulticastTree(lab, root[lab], parents[lab], lab) for lab in labels]
 
     instance = MulticastInstance.build(graph, trees)
     problems = validate_instance(instance)
