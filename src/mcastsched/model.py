@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -297,18 +298,36 @@ def instance_to_json(instance: MulticastInstance) -> str:
     return json.dumps(doc, sort_keys=True, indent=None, separators=(",", ":"))
 
 
+def _check_ints(field: str, *values) -> None:
+    """Raise a ValueError naming `field` unless every value is an int (not a bool)."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{field} must be an integer, not {x!r}")
+
+
+_NODE_KEY = re.compile(r"0|-?[1-9][0-9]*")  # str(c) of an int c
+
+
 def instance_from_json(text: str) -> MulticastInstance:
+    """Parse an instance; every number must be an int (not a bool) and every
+    parent key the decimal string `instance_to_json` writes."""
     doc = json.loads(text)
-    graph = Graph.build(doc["n"], [tuple(e) for e in doc["edges"]])
-    trees = [
-        MulticastTree(
-            t["id"],
-            t["root"],
-            {int(c): p for c, p in t["parent"].items()},
-            t.get("msg", t["id"]),
-        )
-        for t in doc["trees"]
-    ]
+    edges = [tuple(e) for e in doc["edges"]]
+    _check_ints("n", doc["n"])
+    _check_ints("edge endpoint", *(x for e in edges for x in e))
+    graph = Graph.build(doc["n"], edges)
+    trees = []
+    for t in doc["trees"]:
+        tid, root, msg, raw = t["id"], t["root"], t.get("msg", t["id"]), t["parent"]
+        _check_ints("tree id", tid)
+        _check_ints(f"tree {tid}: root", root)
+        _check_ints(f"tree {tid}: msg", msg)
+        _check_ints(f"tree {tid}: parent", *raw.values())
+        if not all(map(_NODE_KEY.fullmatch, raw)):
+            bad = next(c for c in raw if not _NODE_KEY.fullmatch(c))
+            raise ValueError(f"tree {tid}: parent key {bad!r} is not a decimal node id")
+        parent = dict(zip(map(int, raw), raw.values()))
+        trees.append(MulticastTree(tid, root, parent, msg))
     return MulticastInstance.build(graph, trees)
 
 

@@ -289,6 +289,32 @@ def test_bad_instance_exits_one(runner, tmp_path, doc, needle):
     _assert_clean_error(res, needle)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(n=4.0), "n must be an integer, not 4.0"),
+        (lambda doc: doc.update(edges=[[0, "1"]]), "edge endpoint must be an integer, not '1'"),
+        (lambda doc: doc["trees"][0].update(id=True), "tree id must be an integer, not True"),
+        (lambda doc: doc["trees"][0].update(root="0"),
+         "tree 0: root must be an integer, not '0'"),
+        (lambda doc: doc["trees"][0].update(msg="a"), "tree 0: msg must be an integer, not 'a'"),
+        (lambda doc: doc["trees"][0].update(parent={"1": 0.0}),
+         "tree 0: parent must be an integer, not 0.0"),
+        (lambda doc: doc["trees"][0].update(parent={"01": 0}),
+         "tree 0: parent key '01' is not a decimal node id"),
+    ],
+    ids=["n-float", "edge-str", "id-bool", "root-str", "msg-str", "parent-float",
+         "parent-key-zero-padded"],
+)
+def test_non_integer_instance_field_exits_one(runner, tmp_path, edit, message):
+    doc = json.loads(instance_to_json(shared_edge_instance()))
+    edit(doc)
+    inst_file = tmp_path / "bad.json"
+    inst_file.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["schedule", str(inst_file), "--scheduler", "greedy"])
+    _assert_clean_error(res, "cannot read instance", message)
+
+
 @pytest.mark.parametrize("command", ["validate", "markov-check"])
 def test_sends_as_string_exits_one(runner, tmp_path, command):
     # defect (c): `sends` given as a string
