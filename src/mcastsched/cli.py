@@ -393,9 +393,16 @@ def cmd_opt(instance_file, horizon):
 @click.argument("instance_file", type=click.Path(exists=True))
 @click.argument("schedule_file", type=click.Path(exists=True))
 def cmd_markov_check(instance_file, schedule_file):
-    """Per-edge delay-set check on a schedule."""
+    """Per-edge delay-set check on a schedule that replays as valid."""
     instance = _load_instance(instance_file)
     sched = _load_schedule(schedule_file)
+    replay = simulate(instance, sched)
+    if replay.violations:
+        v = replay.violations[0]
+        _fail(f"invalid schedule: {v.kind} at round {v.round}: {v.detail}")
+    if not replay.valid:
+        undelivered = len(instance.trees) - len(replay.per_tree_completion_round)
+        _fail(f"invalid schedule: incomplete_trees={undelivered}")
     report = markov_delay_check(instance, sched)
     click.echo(f"edges_checked={len(report.per_edge)} passed={report.passed}")
     if not report.passed:

@@ -5,13 +5,18 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import itemgetter, le
+from typing import NamedTuple
 
 from .model import MulticastInstance, norm_edge
 
+_by_round_u_v = itemgetter(0, 1, 2)
 
-@dataclass(frozen=True)
-class Send:
-    """One packet crossing one edge in one round, in the given direction."""
+
+class Send(NamedTuple):
+    """One packet crossing one edge in one round, in the given direction.
+    A tuple (round, u, v, message_id): it unpacks and orders like one."""
 
     round: int
     u: int  # sender
@@ -30,7 +35,7 @@ class Schedule:
 
     @classmethod
     def from_sends(cls, sends) -> "Schedule":
-        sends = tuple(sorted(sends, key=lambda s: (s.round, s.u, s.v)))
+        sends = tuple(sorted(sends, key=_by_round_u_v))
         length = max((s.round for s in sends), default=0)
         return cls(sends, length)
 
@@ -52,12 +57,10 @@ class DeliveryReport:
 
 
 def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
-    """Shared replay loop.
-
-    Yields nothing; returns (holds, violations, redundant, completion) where
-    holds maps node -> set of held message ids. A message sent in round t is
-    held by the receiver from the start of round t+1.
-    """
+    """Shared replay loop: returns (holds, violations, redundant, completion)
+    where holds maps node -> set of held message ids. A message sent in round
+    t is held by the receiver from the start of round t+1. Sends of one round
+    are checked in schedule order."""
     by_msg = instance.tree_by_message
     graph_edges = instance.graph.edges
     holds: dict[int, set[int]] = defaultdict(set)
@@ -71,31 +74,29 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
 
     violations: list[Violation] = []
     redundant: list[Send] = []
-    rounds: dict[int, list[Send]] = defaultdict(list)
+    last = schedule.declared_length if upto_round is None else upto_round
+    in_range = []
     for s in schedule.sends:
         if s.round < 1:
             violations.append(Violation("bad_round", s.round, f"round < 1: {s}"))
-            continue
-        if s.round > schedule.declared_length:
+        elif s.round > schedule.declared_length:
             violations.append(
                 Violation("bad_round", s.round, f"round beyond declared length: {s}")
             )
-            continue
-        if upto_round is not None and s.round > upto_round:
-            continue
-        rounds[s.round].append(s)
+        elif s.round <= last:
+            in_range.append(s)
+    in_range.sort(key=itemgetter(0))  # stable: schedule order within a round
 
-    for r in sorted(rounds):
+    for r, sends in groupby(in_range, itemgetter(0)):
         used_edges: set[tuple[int, int]] = set()
         deliveries: list[Send] = []
-        for s in rounds[r]:
-            tree = by_msg.get(s.message_id)
+        for s in sends:
+            _, u, v, mid = s
+            tree = by_msg.get(mid)
             if tree is None:
-                violations.append(
-                    Violation("unknown_message", r, f"message {s.message_id}: {s}")
-                )
+                violations.append(Violation("unknown_message", r, f"message {mid}: {s}"))
                 continue
-            edge = s.edge
+            edge = (u, v) if u < v else (v, u)
             if edge in used_edges:
                 violations.append(
                     Violation("capacity", r, f"edge {edge} used twice in round {r}")
@@ -112,24 +113,19 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
                     Violation("off_tree", r, f"edge {edge} not in tree {tree.tree_id}")
                 )
                 continue
-            if s.message_id not in holds[s.u]:
-                violations.append(
-                    Violation(
-                        "sender_missing",
-                        r,
-                        f"node {s.u} does not hold message {s.message_id} in round {r}",
-                    )
-                )
+            if mid not in holds[u]:
+                detail = f"node {u} does not hold message {mid} in round {r}"
+                violations.append(Violation("sender_missing", r, detail))
                 continue
-            if s.message_id in holds[s.v]:
+            if mid in holds[v]:
                 redundant.append(s)
             deliveries.append(s)
-        for s in deliveries:
-            if s.message_id not in holds[s.v]:
-                holds[s.v].add(s.message_id)
-                tree = by_msg[s.message_id]
+        for _, _, v, mid in deliveries:
+            if mid not in holds[v]:
+                holds[v].add(mid)
+                tree = by_msg[mid]
                 rem = remaining[tree.tree_id]
-                rem.discard(s.v)
+                rem.discard(v)
                 if not rem and tree.tree_id not in completion:
                     completion[tree.tree_id] = r
     return holds, violations, redundant, completion
@@ -163,14 +159,16 @@ def knowledge_at(
 
 
 def schedule_to_json(schedule: Schedule) -> str:
-    doc = {
-        "length": schedule.declared_length,
-        "sends": [
-            {"round": s.round, "from": s.u, "to": s.v, "msg": s.message_id}
-            for s in sorted(schedule.sends, key=lambda s: (s.round, s.u, s.v))
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON: sends in (round, u, v) order, ties in schedule order,
+    keys sorted, no spaces."""
+    sends = schedule.sends
+    # sends in whole-tuple order are in (round, u, v) order, ties kept
+    if not all(map(le, sends, islice(sends, 1, None))):
+        sends = sorted(sends, key=_by_round_u_v)
+    body = ",".join(
+        [f'{{"from":{u},"msg":{m},"round":{r},"to":{v}}}' for r, u, v, m in sends]
+    )
+    return f'{{"length":{schedule.declared_length},"sends":[{body}]}}'
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -184,4 +182,4 @@ def schedule_from_json(text: str) -> Schedule:
         if any(type(x) is not int for x in fields):
             raise ValueError(f"send {s}: round, from, to and msg must be integers")
         sends.append(Send(*fields))
-    return Schedule(tuple(sorted(sends, key=lambda s: (s.round, s.u, s.v))), doc["length"])
+    return Schedule(tuple(sorted(sends, key=_by_round_u_v)), doc["length"])

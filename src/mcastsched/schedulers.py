@@ -7,7 +7,6 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import starmap
 
 from .decomposition import PathDecomposition, short_decomposition
 from .model import MulticastInstance, compute_metrics, log2_ceil, norm_edge
@@ -64,7 +63,7 @@ def _route(sources, below, value) -> Schedule:
             hop = (value(key, c, depth + 1), key, mid, node, c, depth + 1)
             heapq.heappush(waiting.setdefault(norm_edge(node, c), []), hop)
 
-    sends = []  # (round, u, v, message id): one send per edge and round
+    sends = []  # one send per edge and round
     rnd, last_start = min(release, default=1) - 1, max(release, default=0)
     while waiting or rnd < last_start:
         rnd += 1
@@ -77,10 +76,10 @@ def _route(sources, below, value) -> Schedule:
             if not heap:
                 del waiting[edge]
         for _, key, mid, parent, child, depth in moved:
-            sends.append((rnd, parent, child, mid))
+            sends.append(Send(rnd, parent, child, mid))
             arm(key, mid, child, depth)
     sends.sort()
-    return Schedule(tuple(starmap(Send, sends)), sends[-1][0] if sends else 0)
+    return Schedule(tuple(sends), sends[-1].round if sends else 0)
 
 
 def _route_instance(instance: MulticastInstance, start, value) -> Schedule:
@@ -96,19 +95,14 @@ def _route_instance(instance: MulticastInstance, start, value) -> Schedule:
 def greedy_schedule(instance: MulticastInstance) -> Schedule:
     """Per round and edge, forward the eligible message with the deepest
     undelivered subtree below it; length is at most C*D."""
-    height: dict[tuple[int, int], int] = {}
+    height: dict[int, dict[int, int]] = {}  # tree id -> node -> height
     for t in instance.trees:
-        for v in t.depth:
-            height[(t.tree_id, v)] = 0
+        h = height[t.tree_id] = dict.fromkeys(t.depth, 0)
+        parent, root = t.parent, t.root
         for v in reversed(t.depth):  # children before their parents
-            if v != t.root:
-                p = t.parent[v]
-                height[(t.tree_id, p)] = max(
-                    height[(t.tree_id, p)], height[(t.tree_id, v)] + 1
-                )
-    return _route_instance(
-        instance, lambda tid: 1, lambda tid, c, depth: -height[(tid, c)]
-    )
+            if v != root and h[v] >= h[parent[v]]:
+                h[parent[v]] = h[v] + 1
+    return _route_instance(instance, lambda tid: 1, lambda tid, c, depth: -height[tid][c])
 
 
 def _draw_offsets(

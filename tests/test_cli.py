@@ -455,3 +455,45 @@ def test_gen_layered_names_bad_parameter(runner, args, needle):
 def test_missing_instance_file_exits_nonzero(runner):
     res = runner.invoke(main, ["schedule", "/nonexistent.json"])
     assert res.exit_code != 0
+
+
+def _lowerbound_2_2(runner, tmp_path):
+    inst_file = tmp_path / "lb.json"
+    res = runner.invoke(
+        main, ["gen", "lowerbound", "--congestion", "2", "--depth", "2", "-o", str(inst_file)]
+    )
+    assert res.exit_code == 0, res.output
+    return inst_file
+
+
+def test_markov_check_rejects_empty_schedule(runner, tmp_path):
+    """A schedule that delivers nothing fails the replay before the check."""
+    inst_file = _lowerbound_2_2(runner, tmp_path)
+    sched_file = tmp_path / "empty.json"
+    sched_file.write_text('{"length":0,"sends":[]}')
+    res = runner.invoke(main, ["validate", str(inst_file), str(sched_file)])
+    assert res.output == "invalid violations=0 incomplete_trees=4\n"
+    res = runner.invoke(main, ["markov-check", str(inst_file), str(sched_file)])
+    _assert_clean_error(res, "invalid schedule: incomplete_trees=4")
+    assert len(res.output.splitlines()) == 1
+
+
+def test_markov_check_rejects_capacity_violation(runner, tmp_path):
+    inst_file = _lowerbound_2_2(runner, tmp_path)
+    sched_file = tmp_path / "greedy.json"
+    res = runner.invoke(
+        main, ["schedule", str(inst_file), "--scheduler", "greedy", "-o", str(sched_file)]
+    )
+    assert res.exit_code == 0, res.output
+    doc = json.loads(sched_file.read_text())
+    first = doc["sends"][0]
+    doc["sends"].insert(1, dict(first))  # the same edge twice in its round
+    sched_file.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["markov-check", str(inst_file), str(sched_file)])
+    edge = (min(first["from"], first["to"]), max(first["from"], first["to"]))
+    _assert_clean_error(
+        res,
+        f"error: invalid schedule: capacity at round {first['round']}: "
+        f"edge {edge} used twice in round {first['round']}",
+    )
+    assert len(res.output.splitlines()) == 1

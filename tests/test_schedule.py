@@ -1,16 +1,27 @@
+import json
 import random
+from collections import defaultdict
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcastsched import (
+    DeliveryReport,
     Graph,
     MulticastInstance,
     MulticastTree,
     Schedule,
     Send,
+    Violation,
+    build_lowerbound,
+    compute_metrics,
+    deterministic_schedule,
+    distributed_multicast,
+    distributed_rank_decomposition,
     frame_multicast_schedule,
+    frame_schedule_from_decomps,
     gen_layered_instance,
     gen_random_instance,
     greedy_schedule,
@@ -22,6 +33,7 @@ from mcastsched import (
     simulate,
     validate_instance,
 )
+from test_golden import CORPUS, EPSILON
 
 
 def chain_instance():
@@ -78,7 +90,9 @@ def test_off_tree_and_unknown_message_flagged():
     report = simulate(inst, Schedule.from_sends([Send(1, 1, 2, 1)]))
     assert any(v.kind == "off_tree" for v in report.violations)
     report = simulate(inst, Schedule.from_sends([Send(1, 0, 1, 99)]))
-    assert any(v.kind == "unknown_message" for v in report.violations)
+    assert [(v.kind, v.detail) for v in report.violations] == [
+        ("unknown_message", "message 99: Send(round=1, u=0, v=1, message_id=99)")
+    ]
 
 
 def test_link_missing_from_host_graph_flagged():
@@ -98,7 +112,9 @@ def test_link_missing_from_host_graph_flagged():
 def test_bad_round_flagged():
     inst = chain_instance()
     report = simulate(inst, Schedule(sends=(Send(0, 0, 1, 0),), declared_length=0))
-    assert any(v.kind == "bad_round" for v in report.violations)
+    assert [(v.kind, v.detail) for v in report.violations] == [
+        ("bad_round", "round < 1: Send(round=0, u=0, v=1, message_id=0)")
+    ]
     report = simulate(inst, Schedule(sends=(Send(5, 0, 1, 0),), declared_length=2))
     assert any(v.kind == "bad_round" for v in report.violations)
 
@@ -224,8 +240,9 @@ def _replacements(instance, schedule, mutation, s, busy, got, rng):
     return [Send(s.round, s.u, rng.choice(to), s.message_id)] if to else None
 
 
-def check_mutation(instance, schedule, mutation, rng) -> bool:
-    """Break one send and check simulate's verdict; False if no send fits."""
+def mutate(instance, schedule, mutation, rng):
+    """Break one send: (its index, what it became, the broken schedule), or
+    None if no send fits the mutation."""
     busy = {(s.round, s.edge) for s in schedule.sends}
     got = {(s.v, s.message_id): s.round for s in schedule.sends}  # receipt round
     fits = []
@@ -234,11 +251,20 @@ def check_mutation(instance, schedule, mutation, rng) -> bool:
         if new is not None:
             fits.append((i, new))
     if not fits:
-        return False
+        return None
     i, new = rng.choice(fits)
     sends = list(schedule.sends[:i]) + new + list(schedule.sends[i + 1 :])
     sends.sort(key=lambda s: (s.round, s.u, s.v))
-    report = simulate(instance, Schedule(tuple(sends), schedule.declared_length))
+    return i, new, Schedule(tuple(sends), schedule.declared_length)
+
+
+def check_mutation(instance, schedule, mutation, rng) -> bool:
+    """Break one send and check simulate's verdict; False if no send fits."""
+    mutated = mutate(instance, schedule, mutation, rng)
+    if mutated is None:
+        return False
+    i, new, broken = mutated
+    report = simulate(instance, broken)
 
     assert not report.valid
     kinds = [v.kind for v in report.violations]
@@ -287,3 +313,251 @@ def test_each_mutation_reaches_its_kind(mutation):
 def test_knowledge_never_shrinks(inst, scheduler, seed):
     schedule = SCHEDULERS[scheduler](inst, seed)
     assert_knowledge_monotone(inst, schedule, schedule.declared_length + 1)
+
+
+# --- Send is a named tuple -------------------------------------------------
+
+def test_send_contract():
+    s = Send(1, 0, 1, 0)
+    assert repr(s) == "Send(round=1, u=0, v=1, message_id=0)"  # in violation details
+    with pytest.raises(AttributeError):
+        s.round = 2
+    assert s == Send(round=1, u=0, v=1, message_id=0)
+    assert hash(s) == hash(Send(1, 0, 1, 0))
+    assert Send(3, 5, 2, 0).edge == (2, 5) == Send(3, 2, 5, 0).edge
+    rnd, u, v, mid = Send(4, 2, 3, 1)
+    assert (rnd, u, v, mid) == (4, 2, 3, 1)
+    assert sorted([Send(2, 0, 1, 0), Send(1, 1, 2, 0), Send(1, 0, 1, 1)]) == [
+        Send(1, 0, 1, 1), Send(1, 1, 2, 0), Send(2, 0, 1, 0)
+    ]
+    tied = [Send(1, 0, 1, 5), Send(1, 0, 1, 2), Send(0, 3, 4, 9)]
+    assert Schedule.from_sends(tied).sends == (tied[2], tied[0], tied[1])
+
+
+# --- differential: the emitter against the json.dumps body it replaced -------
+
+def reference_schedule_to_json(schedule: Schedule) -> str:
+    doc = {
+        "length": schedule.declared_length,
+        "sends": [
+            {"round": s.round, "from": s.u, "to": s.v, "msg": s.message_id}
+            for s in sorted(schedule.sends, key=lambda s: (s.round, s.u, s.v))
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def corpus_schedules(instance, seed=0) -> dict[str, Schedule]:
+    """Every scheduler's output on one instance."""
+    dist = distributed_rank_decomposition(instance, EPSILON, seed)
+    budget = max(1, compute_metrics(instance).congestion)  # always met
+    return {
+        "greedy": greedy_schedule(instance),
+        "random_delay": random_delay_schedule(instance, seed),
+        "frames": frame_multicast_schedule(instance, seed)[0],
+        "deterministic": deterministic_schedule(instance, budget)[0],
+        "congest": distributed_multicast(instance, EPSILON, seed, depths_known=True)[0],
+        "distributed": frame_schedule_from_decomps(
+            instance, dist.decompositions, dist.chunk_length, seed
+        )[0],
+    }
+
+
+def assert_emits_like_reference(schedule: Schedule):
+    """Byte-equal to the reference, and read back as the schedule's sends in
+    (round, u, v) order, ties kept in input order."""
+    text = schedule_to_json(schedule)
+    assert text == reference_schedule_to_json(schedule)
+    back = schedule_from_json(text)
+    assert back.declared_length == schedule.declared_length
+    assert back.sends == tuple(sorted(schedule.sends, key=lambda s: (s.round, s.u, s.v)))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_emitter_matches_reference_on_corpus(name):
+    rng = random.Random(name)
+    for scheduler, schedule in corpus_schedules(CORPUS[name]()).items():
+        assert_emits_like_reference(schedule)
+        shuffled = list(schedule.sends)
+        rng.shuffle(shuffled)
+        shuffled = Schedule(tuple(shuffled), schedule.declared_length)
+        assert schedule_to_json(shuffled) == reference_schedule_to_json(shuffled), scheduler
+
+
+@pytest.mark.parametrize(
+    "sends, length",
+    [
+        ((Send(1, 0, 1, 5), Send(1, 0, 1, 2)), 1),  # tied on (round, u, v)
+        ((Send(1, 0, 1, 2), Send(1, 0, 1, 5)), 1),
+        ((Send(2, 1, 2, 0), Send(1, 0, 1, 7), Send(2, 1, 2, 3), Send(1, 0, 1, 4)), 2),
+        ((), 0),
+        ((), 3),
+        ((Send(1, 0, 1, 0), Send(2, 1, 2, 0)), 9),  # declared beyond the last send
+    ],
+    ids=["tie", "tie-reversed", "ties-shuffled", "empty", "empty-length-3", "long"],
+)
+def test_emitter_matches_reference_on_edge_cases(sends, length):
+    assert_emits_like_reference(Schedule(sends, length))
+
+
+# --- differential: the replay against the loop it replaced -------------------
+# `_replay` once bucketed the in-range sends into a dict of per-round lists;
+# that loop and the `simulate` and `knowledge_at` bodies over it are kept
+# verbatim as references.
+
+def reference_replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
+    by_msg = instance.tree_by_message
+    graph_edges = instance.graph.edges
+    holds: dict[int, set[int]] = defaultdict(set)
+    remaining: dict[int, set[int]] = {}
+    completion: dict[int, int] = {}
+    for t in instance.trees:
+        holds[t.root].add(t.message_id)
+        remaining[t.tree_id] = set(t.leaves) - {t.root}
+        if not remaining[t.tree_id]:
+            completion[t.tree_id] = 0
+
+    violations: list[Violation] = []
+    redundant: list[Send] = []
+    rounds: dict[int, list[Send]] = defaultdict(list)
+    for s in schedule.sends:
+        if s.round < 1:
+            violations.append(Violation("bad_round", s.round, f"round < 1: {s}"))
+            continue
+        if s.round > schedule.declared_length:
+            violations.append(
+                Violation("bad_round", s.round, f"round beyond declared length: {s}")
+            )
+            continue
+        if upto_round is not None and s.round > upto_round:
+            continue
+        rounds[s.round].append(s)
+
+    for r in sorted(rounds):
+        used_edges: set[tuple[int, int]] = set()
+        deliveries: list[Send] = []
+        for s in rounds[r]:
+            tree = by_msg.get(s.message_id)
+            if tree is None:
+                violations.append(
+                    Violation("unknown_message", r, f"message {s.message_id}: {s}")
+                )
+                continue
+            edge = s.edge
+            if edge in used_edges:
+                violations.append(
+                    Violation("capacity", r, f"edge {edge} used twice in round {r}")
+                )
+                continue
+            used_edges.add(edge)
+            if edge not in graph_edges:
+                violations.append(
+                    Violation("not_in_graph", r, f"edge {edge} not in the host graph")
+                )
+                continue
+            if edge not in tree.edges:
+                violations.append(
+                    Violation("off_tree", r, f"edge {edge} not in tree {tree.tree_id}")
+                )
+                continue
+            if s.message_id not in holds[s.u]:
+                violations.append(
+                    Violation(
+                        "sender_missing",
+                        r,
+                        f"node {s.u} does not hold message {s.message_id} in round {r}",
+                    )
+                )
+                continue
+            if s.message_id in holds[s.v]:
+                redundant.append(s)
+            deliveries.append(s)
+        for s in deliveries:
+            if s.message_id not in holds[s.v]:
+                holds[s.v].add(s.message_id)
+                tree = by_msg[s.message_id]
+                rem = remaining[tree.tree_id]
+                rem.discard(s.v)
+                if not rem and tree.tree_id not in completion:
+                    completion[tree.tree_id] = r
+    return holds, violations, redundant, completion
+
+
+def reference_simulate(instance: MulticastInstance, schedule: Schedule) -> DeliveryReport:
+    _, violations, redundant, completion = reference_replay(instance, schedule)
+    complete = len(completion) == len(instance.trees)
+    length = max(completion.values(), default=0) if complete else None
+    return DeliveryReport(
+        valid=complete and not violations,
+        length=length,
+        violations=violations,
+        per_tree_completion_round=completion,
+        redundant=redundant,
+    )
+
+
+def reference_knowledge_at(
+    instance: MulticastInstance, schedule: Schedule, round: int
+) -> dict[int, frozenset[int]]:
+    holds, violations, _, _ = reference_replay(instance, schedule, upto_round=round)
+    if violations:
+        raise ValueError(f"invalid schedule prefix: {violations[0]}")
+    return {v: frozenset(ms) for v, ms in holds.items() if ms}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+REPLAY_SCHEDULERS = {
+    **SCHEDULERS,
+    "congest": lambda inst, seed: distributed_multicast(inst, seed=seed, depths_known=True)[0],
+    "deterministic": lambda inst, seed: deterministic_schedule(
+        inst, max(1, compute_metrics(inst).congestion)
+    )[0],
+    "distributed": lambda inst, seed: distributed_multicast(inst, seed=seed)[0],
+}
+replay_instances = st.one_of(
+    mutation_instances,
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (6, 1)]).map(
+        lambda cd: build_lowerbound(*cd).instance
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    inst=replay_instances,
+    scheduler=st.sampled_from(sorted(REPLAY_SCHEDULERS)),
+    mutation=st.sampled_from([None, *sorted(MUTATIONS)]),
+    merged=st.none() | st.sampled_from(sorted(REPLAY_SCHEDULERS)),
+    shuffle=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_replay_matches_reference(inst, scheduler, mutation, merged, shuffle, seed):
+    """simulate and knowledge_at agree with the reference on valid schedules,
+    on each mutation of them, on their union with a second scheduler's
+    sends (many violations and resends per round), and on any send order."""
+    rng = random.Random(seed)
+    schedule = REPLAY_SCHEDULERS[scheduler](inst, seed)
+    if mutation is not None:
+        mutated = mutate(inst, schedule, mutation, rng)
+        schedule = schedule if mutated is None else mutated[2]
+    sends, length = list(schedule.sends), schedule.declared_length
+    if merged is not None:
+        other = REPLAY_SCHEDULERS[merged](inst, seed + 1)
+        sends += other.sends
+        length = max(length, other.declared_length)
+    if shuffle:
+        rng.shuffle(sends)
+    schedule = Schedule(tuple(sends), length)
+    report, expected = simulate(inst, schedule), reference_simulate(inst, schedule)
+    for f in fields(DeliveryReport):
+        assert getattr(report, f.name) == getattr(expected, f.name), f.name
+    for r in range(schedule.declared_length + 2):
+        assert _outcome(lambda: knowledge_at(inst, schedule, r)) == _outcome(
+            lambda: reference_knowledge_at(inst, schedule, r)
+        ), r

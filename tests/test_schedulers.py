@@ -33,7 +33,7 @@ from mcastsched import (
     unicast_frame_schedule,
 )
 from mcastsched import schedulers
-from mcastsched.schedulers import _assignment, _draw_offsets
+from mcastsched.schedulers import _assignment, _draw_offsets, _route_instance
 from conftest import shared_edge_instance
 
 
@@ -452,6 +452,37 @@ small_instances = st.one_of(
 @given(inst=small_instances)
 def test_greedy_matches_reference(inst):
     assert greedy_schedule(inst) == reference_greedy(inst)
+
+
+def reference_greedy_heights(instance: MulticastInstance) -> dict[tuple[int, int], int]:
+    """`greedy_schedule`'s height loop as it was, over (tree id, node) keys."""
+    height: dict[tuple[int, int], int] = {}
+    for t in instance.trees:
+        for v in t.depth:
+            height[(t.tree_id, v)] = 0
+        for v in reversed(t.depth):  # children before their parents
+            if v != t.root:
+                p = t.parent[v]
+                height[(t.tree_id, p)] = max(
+                    height[(t.tree_id, p)], height[(t.tree_id, v)] + 1
+                )
+    return height
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inst=st.one_of(
+        small_instances,
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (6, 1)]).map(
+            lambda cd: build_lowerbound(*cd).instance
+        ),
+    )
+)
+def test_greedy_matches_reference_heights(inst):
+    height = reference_greedy_heights(inst)
+    assert greedy_schedule(inst) == _route_instance(
+        inst, lambda tid: 1, lambda tid, c, depth: -height[(tid, c)]
+    )
 
 
 @settings(max_examples=60, deadline=None)
