@@ -57,20 +57,26 @@ class DeliveryReport:
 
 
 def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
-    """Shared replay loop: returns (holds, violations, redundant, completion)
-    where holds maps node -> set of held message ids. A message sent in round
-    t is held by the receiver from the start of round t+1. Sends of one round
-    are checked in schedule order."""
-    by_msg = instance.tree_by_message
+    """Shared replay loop: returns (arrived, violations, redundant, completion)
+    where arrived maps message id -> node -> the round the message arrived
+    there (0 at a root). A message sent in round t is held by the receiver
+    from the start of round t+1, so it may be forwarded from then on. Sends
+    of one round are checked in schedule order, and a send that passes its
+    checks is applied at once."""
     graph_edges = instance.graph.edges
-    holds: dict[int, set[int]] = defaultdict(set)
+    arrived: dict[int, dict[int, int]] = {}
     remaining: dict[int, set[int]] = {}
     completion: dict[int, int] = {}
     for t in instance.trees:
-        holds[t.root].add(t.message_id)
+        arrived.setdefault(t.message_id, {})[t.root] = 0
         remaining[t.tree_id] = set(t.leaves) - {t.root}
         if not remaining[t.tree_id]:
             completion[t.tree_id] = 0
+    # message id -> (its last tree, as in tree_by_message; arrivals; undelivered)
+    state = {
+        mid: (t, arrived[mid], remaining[t.tree_id])
+        for mid, t in instance.tree_by_message.items()
+    }
 
     violations: list[Violation] = []
     redundant: list[Send] = []
@@ -89,13 +95,13 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
 
     for r, sends in groupby(in_range, itemgetter(0)):
         used_edges: set[tuple[int, int]] = set()
-        deliveries: list[Send] = []
         for s in sends:
             _, u, v, mid = s
-            tree = by_msg.get(mid)
-            if tree is None:
+            known = state.get(mid)
+            if known is None:
                 violations.append(Violation("unknown_message", r, f"message {mid}: {s}"))
                 continue
+            tree, arr, rem = known
             edge = (u, v) if u < v else (v, u)
             if edge in used_edges:
                 violations.append(
@@ -113,22 +119,19 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
                     Violation("off_tree", r, f"edge {edge} not in tree {tree.tree_id}")
                 )
                 continue
-            if mid not in holds[u]:
+            if arr.get(u, r) >= r:
                 detail = f"node {u} does not hold message {mid} in round {r}"
                 violations.append(Violation("sender_missing", r, detail))
                 continue
-            if mid in holds[v]:
-                redundant.append(s)
-            deliveries.append(s)
-        for _, _, v, mid in deliveries:
-            if mid not in holds[v]:
-                holds[v].add(mid)
-                tree = by_msg[mid]
-                rem = remaining[tree.tree_id]
+            at = arr.get(v)
+            if at is None:
+                arr[v] = r
                 rem.discard(v)
                 if not rem and tree.tree_id not in completion:
                     completion[tree.tree_id] = r
-    return holds, violations, redundant, completion
+            elif at < r:
+                redundant.append(s)
+    return arrived, violations, redundant, completion
 
 
 def simulate(instance: MulticastInstance, schedule: Schedule) -> DeliveryReport:
@@ -152,10 +155,14 @@ def knowledge_at(
 
     Raises ValueError if the schedule prefix violates model constraints.
     """
-    holds, violations, _, _ = _replay(instance, schedule, upto_round=round)
+    arrived, violations, _, _ = _replay(instance, schedule, upto_round=round)
     if violations:
         raise ValueError(f"invalid schedule prefix: {violations[0]}")
-    return {v: frozenset(ms) for v, ms in holds.items() if ms}
+    holds: dict[int, set[int]] = defaultdict(set)
+    for mid, arr in arrived.items():
+        for v in arr:
+            holds[v].add(mid)
+    return {v: frozenset(ms) for v, ms in holds.items()}
 
 
 def schedule_to_json(schedule: Schedule) -> str:

@@ -122,27 +122,30 @@ def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
     )
 
 
-def _single_hop_length(seqs, delays) -> int:
-    """Rounds that `_route` takes, after its start, for jobs of at most one
-    hop released at start + delay + 1: max over edges of max_k (d_(k) + k),
-    where d_(1) >= d_(2) >= ... are the delays of the edge's jobs.
-
-    Proof: the k jobs of largest delay cannot finish before d_(k) + k; and
-    an edge idles only when nothing waits, so its last busy stretch starts
-    at a release d + 1 and carries only the jobs of delay >= d.
-    """
-    on_edge = defaultdict(list)
-    for seq, d in zip(seqs, delays):
-        if len(seq) == 2:
-            on_edge[norm_edge(*seq)].append(d)
-    return max(
-        (
-            d + k
-            for ds in on_edge.values()
-            for k, d in enumerate(sorted(ds, reverse=True), 1)
-        ),
-        default=0,
-    )
+def _route_single_hops(seqs, mids, on_edge, delays, start) -> Schedule:
+    """`_route` for jobs of at most one hop, edge by edge. Job `jid` is
+    released in round start + delays[jid] + 1; each round an edge sends its
+    released job of least index. on_edge: edge -> its jobs in index order."""
+    sends = []
+    zero = not any(delays)
+    for jobs in on_edge.values():
+        if zero or len(jobs) == 1:
+            first = start + delays[jobs[0]] + 1
+            for rnd, jid in enumerate(jobs, first):
+                sends.append(Send(rnd, *seqs[jid], mids[jid]))
+            continue
+        pending = sorted(jobs, key=delays.__getitem__, reverse=True)  # next release last
+        ready = []
+        while pending or ready:
+            if not ready:  # idle until the next release
+                rnd = start + delays[pending[-1]]
+            rnd += 1
+            while pending and start + delays[pending[-1]] < rnd:
+                heapq.heappush(ready, pending.pop())
+            jid = heapq.heappop(ready)
+            sends.append(Send(rnd, *seqs[jid], mids[jid]))
+    sends.sort()
+    return Schedule(tuple(sends), sends[-1].round if sends else 0)
 
 
 def unicast_frame_schedule(
@@ -156,8 +159,12 @@ def unicast_frame_schedule(
     with the most hops left goes first. The frame begins after round
     `start`: its sends fall in rounds start + 1, start + 2, ...
 
-    When D' = 1, `_single_hop_length` gives the delayed length before
-    routing, so the fallback is decided first and the frame is routed once.
+    When D' <= 1 each edge is a queue of its own. Its delayed length is
+    max_k (d_(k) + k), where d_(1) >= d_(2) >= ... are the delays of its
+    jobs: the k jobs of largest delay cannot finish before d_(k) + k, and an
+    edge idles only when nothing waits, so its last busy stretch starts at a
+    release d + 1 and carries only the jobs of delay >= d. The fallback is
+    decided from that before routing, and `_route_single_hops` routes once.
     When D' >= 2 the same first-hop bound is at most (C' - 1) + C' < C'*D',
     so it could never fire, and nothing is computed.
     """
@@ -168,12 +175,26 @@ def unicast_frame_schedule(
             raise ValueError("source must head its path")
         seqs.append(seq)
         mids.append(mid)
-    edge_load = Counter()
-    for seq in seqs:
-        for a, b in zip(seq, seq[1:]):
-            edge_load[norm_edge(a, b)] += 1
-    cprime = max(edge_load.values(), default=0)
-    dprime = max((len(seq) - 1 for seq in seqs), default=0)
+    dprime = max(map(len, seqs), default=1) - 1
+    if dprime <= 1:
+        on_edge = defaultdict(list)  # edge -> the jobs crossing it, in job order
+        for jid, seq in enumerate(seqs):
+            if len(seq) == 2:
+                on_edge[norm_edge(*seq)].append(jid)
+        cprime = max(map(len, on_edge.values()), default=0)
+    else:
+        load = Counter(norm_edge(a, b) for seq in seqs for a, b in zip(seq, seq[1:]))
+        cprime = max(load.values())
+
+    delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
+    if dprime <= 1:
+        if any(
+            d + k > cprime
+            for jobs in on_edge.values()
+            for k, d in enumerate(sorted([delays[j] for j in jobs], reverse=True), 1)
+        ):
+            delays = [0] * len(seqs)
+        return _route_single_hops(seqs, mids, on_edge, delays, start)
 
     def route(delays):
         return _route(
@@ -185,9 +206,6 @@ def unicast_frame_schedule(
             lambda jid, c, depth: depth - len(seqs[jid]),
         )
 
-    delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
-    if dprime == 1 and _single_hop_length(seqs, delays) > cprime:
-        delays = [0] * len(seqs)
     schedule = route(delays)
     if schedule.declared_length - start > cprime * dprime:
         schedule = route([0] * len(seqs))
@@ -233,8 +251,8 @@ def frame_schedule_from_decomps(
     assignment = _assignment(decomps, offsets)
 
     by_frame: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for (tid, pidx), f in assignment.frame_of.items():
-        by_frame[f].append((tid, pidx))
+    for key, f in assignment.frame_of.items():
+        by_frame[f].append(key)  # the (tree id, path index) key itself
 
     by_id = instance.tree_by_id
     delivered = {t.tree_id: {t.root} for t in instance.trees}

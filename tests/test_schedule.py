@@ -561,3 +561,68 @@ def test_replay_matches_reference(inst, scheduler, mutation, merged, shuffle, se
         assert _outcome(lambda: knowledge_at(inst, schedule, r)) == _outcome(
             lambda: reference_knowledge_at(inst, schedule, r)
         ), r
+
+
+# --- hand-made replay cases, each against the reference ----------------------
+
+def assert_replays_like_reference(inst, schedule) -> DeliveryReport:
+    report, expected = simulate(inst, schedule), reference_simulate(inst, schedule)
+    for f in fields(DeliveryReport):
+        assert getattr(report, f.name) == getattr(expected, f.name), f.name
+    for r in range(schedule.declared_length + 2):
+        assert _outcome(lambda: knowledge_at(inst, schedule, r)) == _outcome(
+            lambda: reference_knowledge_at(inst, schedule, r)
+        ), r
+    return report
+
+
+def test_replay_repeated_message_id_held_at_every_root():
+    """Two trees carry message 7: tree 0 from root 0 to nodes 1 and 4, and
+    tree 1 from root 3 down the path to node 0. validate_instance rejects
+    the repeated id. Both roots hold the message, and sends are checked
+    against tree 1, the last tree with that id."""
+    g = Graph.build(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+    inst = MulticastInstance.build(
+        g,
+        [
+            MulticastTree(0, 0, {1: 0, 4: 0}, 7),
+            MulticastTree(1, 3, {2: 3, 1: 2, 0: 1}, 7),
+        ],
+    )
+    assert validate_instance(inst)
+    sched = Schedule.from_sends([Send(1, 0, 1, 7), Send(1, 3, 2, 7), Send(2, 0, 4, 7)])
+    report = assert_replays_like_reference(inst, sched)
+    assert [(v.kind, v.round) for v in report.violations] == [("off_tree", 2)]
+    assert report.redundant == []
+    assert knowledge_at(inst, sched, 0) == {0: frozenset({7}), 3: frozenset({7})}
+    assert set(knowledge_at(inst, sched, 1)) == {0, 1, 2, 3}
+
+
+def test_replay_two_deliveries_in_one_round_not_redundant():
+    """Roots 0 and 2 both hold message 7 and send it to node 1 in round 1:
+    neither delivery is redundant, and a resend in round 2 is."""
+    g = Graph.build(3, [(0, 1), (1, 2)])
+    inst = MulticastInstance.build(
+        g, [MulticastTree(0, 0, {1: 0, 2: 1}, 7), MulticastTree(1, 2, {1: 2, 0: 1}, 7)]
+    )
+    sched = Schedule.from_sends([Send(1, 0, 1, 7), Send(1, 2, 1, 7), Send(2, 2, 1, 7)])
+    report = assert_replays_like_reference(inst, sched)
+    assert report.violations == []
+    assert report.redundant == [Send(2, 2, 1, 7)]
+
+
+def test_replay_forward_in_arrival_round_is_sender_missing():
+    """Node 1 receives message 0 in round 1, and the forward listed after it
+    in the same round is still refused."""
+    inst = chain_instance()
+    sched = Schedule((Send(1, 0, 1, 0), Send(1, 1, 2, 0)), 1)
+    report = assert_replays_like_reference(inst, sched)
+    assert [(v.kind, v.round) for v in report.violations] == [("sender_missing", 1)]
+
+
+def test_replay_send_back_to_root_is_redundant():
+    inst = chain_instance()
+    sched = Schedule.from_sends([Send(1, 0, 1, 0), Send(2, 1, 0, 0)])
+    report = assert_replays_like_reference(inst, sched)
+    assert report.violations == []
+    assert report.redundant == [Send(2, 1, 0, 0)]

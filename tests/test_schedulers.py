@@ -530,6 +530,41 @@ def test_unicast_frame_matches_reference_when_fallback_fires():
     assert fired >= 10  # 17 of the 200 frames
 
 
+def _single_hop_length(seqs, delays) -> int:
+    """Rounds that `_route` takes, after its start, for jobs of at most one
+    hop released at start + delay + 1: max over edges of max_k (d_(k) + k),
+    where d_(1) >= d_(2) >= ... are the delays of the edge's jobs.
+
+    Proof: the k jobs of largest delay cannot finish before d_(k) + k; and
+    an edge idles only when nothing waits, so its last busy stretch starts
+    at a release d + 1 and carries only the jobs of delay >= d.
+    """
+    on_edge = defaultdict(list)
+    for seq, d in zip(seqs, delays):
+        if len(seq) == 2:
+            on_edge[norm_edge(*seq)].append(d)
+    return max(
+        (
+            d + k
+            for ds in on_edge.values()
+            for k, d in enumerate(sorted(ds, reverse=True), 1)
+        ),
+        default=0,
+    )
+
+
+def _route_frame(seqs, mids, delays, start):
+    """A frame's unicasts through the general engine `_route`."""
+    return schedulers._route(
+        [
+            (start + d + 1, jid, mids[jid], seqs[jid][0])
+            for jid, d in enumerate(delays)
+        ],
+        lambda jid, node, depth: seqs[jid][depth + 1 : depth + 2],
+        lambda jid, c, depth: depth - len(seqs[jid]),
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(2, 8),
@@ -547,26 +582,99 @@ def test_single_hop_length_matches_route(n, k, start, seed, data):
     delays = data.draw(
         st.lists(st.integers(0, cprime - 1), min_size=len(seqs), max_size=len(seqs))
     )
-    routed = schedulers._route(
-        [(start + d + 1, jid, 0, seq[0]) for jid, (seq, d) in enumerate(zip(seqs, delays))],
-        lambda jid, node, depth: seqs[jid][depth + 1 : depth + 2],
-        lambda jid, c, depth: depth - len(seqs[jid]),
-    )
+    routed = _route_frame(seqs, [0] * len(seqs), delays, start)
     want = routed.declared_length - start if routed.sends else 0
-    assert schedulers._single_hop_length(seqs, delays) == want
+    assert _single_hop_length(seqs, delays) == want
+
+
+def check_single_hop_router(paths, delays, start):
+    """`_route_single_hops` gives `_route`'s schedule for the delays that the
+    fallback rule keeps; returns (fallback fired, an edge used both ways,
+    a zero-hop job)."""
+    seqs = [seq for _, seq, _ in paths]
+    mids = [mid for _, _, mid in paths]
+    on_edge = defaultdict(list)
+    for jid, seq in enumerate(seqs):
+        if len(seq) == 2:
+            on_edge[norm_edge(*seq)].append(jid)
+    cprime = max(map(len, on_edge.values()), default=0)
+    fired = _single_hop_length(seqs, delays) > cprime
+    if fired:
+        delays = [0] * len(seqs)
+    got = schedulers._route_single_hops(seqs, mids, on_edge, delays, start)
+    assert got == _route_frame(seqs, mids, delays, start)
+    both_ways = any(len({seqs[j] for j in jobs}) == 2 for jobs in on_edge.values())
+    return fired, both_ways, any(len(seq) == 1 for seq in seqs)
+
+
+def _draw_delays(draw, paths):
+    """One delay per job in [0, C'), or 0 when no job moves."""
+    load = Counter(norm_edge(*seq) for _, seq, _ in paths if len(seq) == 2)
+    return [draw(max(load.values(), default=1)) for _ in paths]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    k=st.integers(0, 20),
+    max_hops=st.integers(0, 1),
+    start=st.integers(0, 5),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_single_hop_router_matches_route(n, k, max_hops, start, seed, data):
+    paths = random_frame(random.Random(seed), n, k, max_hops)
+    delays = _draw_delays(lambda cap: data.draw(st.integers(0, cap - 1)), paths)
+    check_single_hop_router(paths, delays, start)
+
+
+def test_single_hop_router_covers_its_cases():
+    """Over fixed seeds the router meets every case at least 20 times: the
+    fallback firing and not, an edge crossed both ways, zero-hop jobs, and
+    a start after round 0."""
+    seen = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        paths = random_frame(rng, rng.randrange(2, 6), rng.randrange(12), 1)
+        start = rng.randrange(4)
+        delays = _draw_delays(rng.randrange, paths)
+        fired, both_ways, zero_hop = check_single_hop_router(paths, delays, start)
+        seen.update(
+            fired=fired,
+            kept=not fired,
+            both_ways=both_ways,
+            zero_hop=zero_hop,
+            start=start > 0,
+        )
+    cases = ("fired", "kept", "both_ways", "zero_hop", "start")
+    assert min(seen[case] for case in cases) >= 20
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_frames_route_each_frame_once(monkeypatch, seed):
     """At these seeds the lower-bound family's single-hop frame draws delays
     that overshoot C', so the zero-delay fallback fires; it is decided before
-    routing, and `_route` runs once per frame."""
+    routing. Each frame is routed exactly once: by `_route_single_hops` when
+    its D' <= 1, by `_route` otherwise."""
     inst = build_lowerbound(4, 2).instance
-    calls = []
-    real = schedulers._route
-    monkeypatch.setattr(schedulers, "_route", lambda *a: calls.append(1) or real(*a))
+    calls, expected = [], []
+
+    def spy(name):
+        real = getattr(schedulers, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    def unicast(paths, *args, real=schedulers.unicast_frame_schedule):
+        dprime = max((len(seq) - 1 for _, seq, _ in paths), default=0)
+        expected.append("_route_single_hops" if dprime <= 1 else "_route")
+        return real(paths, *args)
+
+    monkeypatch.setattr(schedulers, "_route", spy("_route"))
+    monkeypatch.setattr(schedulers, "_route_single_hops", spy("_route_single_hops"))
+    monkeypatch.setattr(schedulers, "unicast_frame_schedule", unicast)
     _, assignment = frame_multicast_schedule(inst, seed)
     assert len(calls) == len(set(assignment.frame_of.values()))
+    assert calls == expected
+    assert set(calls) == {"_route", "_route_single_hops"}
 
 
 # --- differential: the frames driver against the loop it replaced ----------
