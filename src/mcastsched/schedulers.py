@@ -122,29 +122,15 @@ def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
     )
 
 
-def _route_single_hops(seqs, mids, on_edge, delays, start) -> Schedule:
-    """`_route` for jobs of at most one hop, edge by edge. Job `jid` is
-    released in round start + delays[jid] + 1; each round an edge sends its
-    released job of least index. on_edge: edge -> its jobs in index order."""
-    sends = []
-    zero = not any(delays)
-    for jobs in on_edge.values():
-        if zero or len(jobs) == 1:
-            first = start + delays[jobs[0]] + 1
-            for rnd, jid in enumerate(jobs, first):
-                sends.append(Send(rnd, *seqs[jid], mids[jid]))
-            continue
-        pending = sorted(jobs, key=delays.__getitem__, reverse=True)  # next release last
-        ready = []
-        while pending or ready:
-            if not ready:  # idle until the next release
-                rnd = start + delays[pending[-1]]
-            rnd += 1
-            while pending and start + delays[pending[-1]] < rnd:
-                heapq.heappush(ready, pending.pop())
-            jid = heapq.heappop(ready)
-            sends.append(Send(rnd, *seqs[jid], mids[jid]))
-    sends.sort()
+def _route_single_hops(seqs, mids, on_edge, start) -> Schedule:
+    """`_route` for jobs of at most one hop, all released in round start + 1:
+    each edge sends its jobs one per round, in index order.
+    on_edge: edge -> its jobs in index order."""
+    sends = sorted(
+        Send(rnd, *seqs[jid], mids[jid])
+        for jobs in on_edge.values()
+        for rnd, jid in enumerate(jobs, start + 1)
+    )
     return Schedule(tuple(sends), sends[-1].round if sends else 0)
 
 
@@ -164,7 +150,8 @@ def unicast_frame_schedule(
     jobs: the k jobs of largest delay cannot finish before d_(k) + k, and an
     edge idles only when nothing waits, so its last busy stretch starts at a
     release d + 1 and carries only the jobs of delay >= d. The fallback is
-    decided from that before routing, and `_route_single_hops` routes once.
+    decided from that before routing, so the frame is routed once: with zero
+    delays by `_route_single_hops`, else by `_route`.
     When D' >= 2 the same first-hop bound is at most (C' - 1) + C' < C'*D',
     so it could never fire, and nothing is computed.
     """
@@ -187,14 +174,6 @@ def unicast_frame_schedule(
         cprime = max(load.values())
 
     delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
-    if dprime <= 1:
-        if any(
-            d + k > cprime
-            for jobs in on_edge.values()
-            for k, d in enumerate(sorted([delays[j] for j in jobs], reverse=True), 1)
-        ):
-            delays = [0] * len(seqs)
-        return _route_single_hops(seqs, mids, on_edge, delays, start)
 
     def route(delays):
         return _route(
@@ -206,9 +185,18 @@ def unicast_frame_schedule(
             lambda jid, c, depth: depth - len(seqs[jid]),
         )
 
-    schedule = route(delays)
-    if schedule.declared_length - start > cprime * dprime:
-        schedule = route([0] * len(seqs))
+    if dprime > 1:
+        schedule = route(delays)
+        if schedule.declared_length - start > cprime * dprime:
+            schedule = route([0] * len(seqs))
+    elif not any(delays) or any(
+        d + k > cprime
+        for jobs in on_edge.values()
+        for k, d in enumerate(sorted([delays[j] for j in jobs], reverse=True), 1)
+    ):
+        schedule = _route_single_hops(seqs, mids, on_edge, start)
+    else:
+        schedule = route(delays)
     assert schedule.declared_length - start <= cprime * dprime or not seqs
     return schedule
 

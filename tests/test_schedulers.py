@@ -587,10 +587,11 @@ def test_single_hop_length_matches_route(n, k, start, seed, data):
     assert _single_hop_length(seqs, delays) == want
 
 
-def check_single_hop_router(paths, delays, start):
-    """`_route_single_hops` gives `_route`'s schedule for the delays that the
-    fallback rule keeps; returns (fallback fired, an edge used both ways,
-    a zero-hop job)."""
+def check_single_hop_frame(paths, n, seed, start):
+    """A frame with D' <= 1 gives `_route`'s schedule for the delays that the
+    fallback rule selects, and `_route_single_hops` gives `_route`'s
+    zero-delay schedule; returns (fallback fired, delays kept nonzero, an
+    edge used both ways, a zero-hop job)."""
     seqs = [seq for _, seq, _ in paths]
     mids = [mid for _, _, mid in paths]
     on_edge = defaultdict(list)
@@ -598,19 +599,18 @@ def check_single_hop_router(paths, delays, start):
         if len(seq) == 2:
             on_edge[norm_edge(*seq)].append(jid)
     cprime = max(map(len, on_edge.values()), default=0)
+    rng = random.Random(seed)
+    delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
     fired = _single_hop_length(seqs, delays) > cprime
     if fired:
         delays = [0] * len(seqs)
-    got = schedulers._route_single_hops(seqs, mids, on_edge, delays, start)
+    got = unicast_frame_schedule(paths, path_graph(n), random.Random(seed), start)
     assert got == _route_frame(seqs, mids, delays, start)
+    zero = [0] * len(seqs)
+    walked = schedulers._route_single_hops(seqs, mids, on_edge, start)
+    assert walked == _route_frame(seqs, mids, zero, start)
     both_ways = any(len({seqs[j] for j in jobs}) == 2 for jobs in on_edge.values())
-    return fired, both_ways, any(len(seq) == 1 for seq in seqs)
-
-
-def _draw_delays(draw, paths):
-    """One delay per job in [0, C'), or 0 when no job moves."""
-    load = Counter(norm_edge(*seq) for _, seq, _ in paths if len(seq) == 2)
-    return [draw(max(load.values(), default=1)) for _ in paths]
+    return fired, any(delays), both_ways, any(len(seq) == 1 for seq in seqs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -620,31 +620,25 @@ def _draw_delays(draw, paths):
     max_hops=st.integers(0, 1),
     start=st.integers(0, 5),
     seed=st.integers(0, 10**6),
-    data=st.data(),
 )
-def test_single_hop_router_matches_route(n, k, max_hops, start, seed, data):
+def test_single_hop_router_matches_route(n, k, max_hops, start, seed):
     paths = random_frame(random.Random(seed), n, k, max_hops)
-    delays = _draw_delays(lambda cap: data.draw(st.integers(0, cap - 1)), paths)
-    check_single_hop_router(paths, delays, start)
+    check_single_hop_frame(paths, n, seed, start)
 
 
 def test_single_hop_router_covers_its_cases():
-    """Over fixed seeds the router meets every case at least 20 times: the
-    fallback firing and not, an edge crossed both ways, zero-hop jobs, and
-    a start after round 0."""
+    """Over fixed seeds the single-hop frames meet every case at least 20
+    times: the fallback firing, delays kept nonzero, an edge crossed both
+    ways, zero-hop jobs, and a start after round 0."""
     seen = Counter()
     for seed in range(300):
         rng = random.Random(seed)
-        paths = random_frame(rng, rng.randrange(2, 6), rng.randrange(12), 1)
+        n = rng.randrange(2, 6)
+        paths = random_frame(rng, n, rng.randrange(12), 1)
         start = rng.randrange(4)
-        delays = _draw_delays(rng.randrange, paths)
-        fired, both_ways, zero_hop = check_single_hop_router(paths, delays, start)
+        fired, kept, both_ways, zero_hop = check_single_hop_frame(paths, n, seed, start)
         seen.update(
-            fired=fired,
-            kept=not fired,
-            both_ways=both_ways,
-            zero_hop=zero_hop,
-            start=start > 0,
+            fired=fired, kept=kept, both_ways=both_ways, zero_hop=zero_hop, start=start > 0
         )
     cases = ("fired", "kept", "both_ways", "zero_hop", "start")
     assert min(seen[case] for case in cases) >= 20
@@ -655,7 +649,7 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
     """At these seeds the lower-bound family's single-hop frame draws delays
     that overshoot C', so the zero-delay fallback fires; it is decided before
     routing. Each frame is routed exactly once: by `_route_single_hops` when
-    its D' <= 1, by `_route` otherwise."""
+    its D' <= 1 and its selected delays are all zero, by `_route` otherwise."""
     inst = build_lowerbound(4, 2).instance
     calls, expected = [], []
 
@@ -663,10 +657,18 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
         real = getattr(schedulers, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    def unicast(paths, *args, real=schedulers.unicast_frame_schedule):
-        dprime = max((len(seq) - 1 for _, seq, _ in paths), default=0)
-        expected.append("_route_single_hops" if dprime <= 1 else "_route")
-        return real(paths, *args)
+    def unicast(paths, graph, rng, *args, real=schedulers.unicast_frame_schedule):
+        seqs = [tuple(seq) for _, seq, _ in paths]
+        load = Counter(norm_edge(a, b) for seq in seqs for a, b in zip(seq, seq[1:]))
+        cprime = max(load.values(), default=0)
+        probe = random.Random()
+        probe.setstate(rng.getstate())
+        delays = [probe.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
+        walk = max(map(len, seqs)) <= 2 and (
+            not any(delays) or _single_hop_length(seqs, delays) > cprime
+        )
+        expected.append("_route_single_hops" if walk else "_route")
+        return real(paths, graph, rng, *args)
 
     monkeypatch.setattr(schedulers, "_route", spy("_route"))
     monkeypatch.setattr(schedulers, "_route_single_hops", spy("_route_single_hops"))
