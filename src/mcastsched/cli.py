@@ -78,8 +78,8 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
-# What a wrong-shaped JSON document raises while it is read.
-_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+# What a wrong-shaped or too deeply nested JSON document raises while it is read.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError)
 
 
 def _load_instance(path: str):

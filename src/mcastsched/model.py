@@ -144,6 +144,14 @@ class MulticastInstance:
     def tree_by_id(self) -> dict[int, MulticastTree]:
         return {t.tree_id: t for t in self.trees}
 
+    @cached_property
+    def metrics(self) -> InstanceMetrics:
+        counts: Counter = Counter()
+        for t in self.trees:
+            counts.update(t.edges)
+        dilation = max((t.max_depth for t in self.trees), default=0)
+        return InstanceMetrics(max(counts.values(), default=0), dilation)
+
 
 @dataclass(frozen=True)
 class InstanceMetrics:
@@ -152,13 +160,8 @@ class InstanceMetrics:
 
 
 def compute_metrics(instance: MulticastInstance) -> InstanceMetrics:
-    """Congestion = max trees sharing an edge; dilation = max tree depth."""
-    counts: Counter = Counter()
-    for t in instance.trees:
-        counts.update(t.edges)
-    congestion = max(counts.values()) if counts else 0
-    dilation = max((t.max_depth for t in instance.trees), default=0)
-    return InstanceMetrics(congestion, dilation)
+    """Congestion = max trees sharing an edge; dilation = max tree depth (cached)."""
+    return instance.metrics
 
 
 def validate_instance(instance: MulticastInstance) -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -26,6 +28,22 @@ class Send(NamedTuple):
     @property
     def edge(self) -> tuple[int, int]:
         return norm_edge(self.u, self.v)
+
+
+def _gc_paused(fn):
+    """Run fn with the cyclic garbage collector off, unless it is off already.
+    Sends are tracked tuples, but the loops this wraps make no reference cycles."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)
@@ -56,6 +74,7 @@ class DeliveryReport:
     redundant: list[Send] = field(default_factory=list)
 
 
+@_gc_paused
 def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
     """Shared replay loop: returns (arrived, violations, redundant, completion)
     where arrived maps message id -> node -> the round the message arrived

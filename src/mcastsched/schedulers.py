@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .decomposition import PathDecomposition, short_decomposition
 from .model import MulticastInstance, compute_metrics, log2_ceil, norm_edge
-from .schedule import Schedule, Send
+from .schedule import Schedule, Send, _gc_paused
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class SeedSearchError(RuntimeError):
         self.best_congestion = best_congestion
 
 
+@_gc_paused
 def _route(sources, below, value) -> Schedule:
     """Route messages down trees, one packet per edge per round.
 
@@ -201,6 +202,7 @@ def unicast_frame_schedule(
     return schedule
 
 
+@_gc_paused
 def build_short_decompositions(
     instance: MulticastInstance, ell: int
 ) -> dict[int, PathDecomposition]:
@@ -220,6 +222,7 @@ def _assignment(decomps, offsets) -> FrameAssignment:
     return FrameAssignment(dict(offsets), frame_of, decomps)
 
 
+@_gc_paused
 def frame_schedule_from_decomps(
     instance: MulticastInstance,
     decomps: dict[int, PathDecomposition],

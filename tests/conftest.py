@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -8,11 +9,31 @@ from mcastsched import Graph, MulticastInstance, MulticastTree
 acceptance_lines: list[str] = []
 
 
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail any test after which the cyclic garbage collector is off: a
+    wrapper that pauses it must switch it back on, also when it raises."""
+    yield
+    assert gc.isenabled(), "the cyclic garbage collector was left disabled"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if acceptance_lines:
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def cyclic_garbage(call) -> int:
+    """Objects in reference cycles that `call()` leaves behind, its result
+    dropped, counted with the collector off from before the call."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def shared_edge_instance() -> MulticastInstance:

@@ -497,3 +497,19 @@ def test_markov_check_rejects_capacity_violation(runner, tmp_path):
         f"edge {edge} used twice in round {first['round']}",
     )
     assert len(res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("reader", ["instance", "schedule", "suite"])
+def test_deeply_nested_json_exits_one(runner, tmp_path, reader):
+    nested = tmp_path / "s2.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    args, needle = {
+        "instance": (["validate", str(nested), str(nested)], "cannot read instance"),
+        "schedule": (["validate", str(_lowerbound_2_2(runner, tmp_path)), str(nested)],
+                     "cannot read schedule"),
+        "suite": (["bench", "--suite", str(nested)], f"invalid suite {nested}"),
+    }[reader]
+    res = runner.invoke(main, args)
+    _assert_clean_error(res, f"error: {needle}", "maximum recursion depth exceeded")
+    assert len(res.output.splitlines()) == 1
+    assert "Traceback" not in res.stderr

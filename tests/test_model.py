@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mcastsched import (
     Graph,
+    InstanceMetrics,
     MulticastInstance,
     MulticastTree,
     compute_metrics,
@@ -24,6 +25,7 @@ from mcastsched import (
     simulate,
     validate_instance,
 )
+from test_golden import CORPUS
 
 
 # --- oracles ---------------------------------------------------------------
@@ -202,3 +204,21 @@ def test_instance_json_shape():
     assert doc["edges"] == sorted(doc["edges"])
     for t in doc["trees"]:
         assert set(t) == {"id", "root", "parent", "msg"}
+
+
+def reference_metrics(instance: MulticastInstance) -> InstanceMetrics:
+    """`compute_metrics` as it was before the result was cached."""
+    counts: Counter = Counter()
+    for t in instance.trees:
+        counts.update(t.edges)
+    congestion = max(counts.values()) if counts else 0
+    dilation = max((t.max_depth for t in instance.trees), default=0)
+    return InstanceMetrics(congestion, dilation)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_metrics_computed_once_per_instance(name):
+    inst = CORPUS[name]()
+    first = compute_metrics(inst)
+    assert compute_metrics(inst) is first is inst.metrics
+    assert first == reference_metrics(inst)

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from collections import defaultdict
@@ -33,6 +34,7 @@ from mcastsched import (
     simulate,
     validate_instance,
 )
+from conftest import cyclic_garbage
 from test_golden import CORPUS, EPSILON
 
 
@@ -626,3 +628,25 @@ def test_replay_send_back_to_root_is_redundant():
     report = assert_replays_like_reference(inst, sched)
     assert report.violations == []
     assert report.redundant == [Send(2, 1, 0, 0)]
+
+
+# --- the cyclic collector is paused while the replay runs --------------------
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_replay_leaves_no_cyclic_garbage(name):
+    inst = CORPUS[name]()
+    schedule = greedy_schedule(inst)
+    assert cyclic_garbage(lambda: simulate(inst, schedule)) == 0
+    half = schedule.declared_length // 2
+    assert cyclic_garbage(lambda: knowledge_at(inst, schedule, half)) == 0
+
+
+def test_replay_keeps_callers_disabled_collector(shared_edge):
+    schedule = greedy_schedule(shared_edge)
+    gc.disable()
+    try:
+        assert simulate(shared_edge, schedule).valid
+        knowledge_at(shared_edge, schedule, 1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -1,3 +1,5 @@
+import functools
+import gc
 import multiprocessing
 import random
 import resource
@@ -19,6 +21,7 @@ from mcastsched import (
     build_short_decompositions,
     compute_metrics,
     deterministic_schedule,
+    distributed_multicast,
     frame_congestion_profile,
     frame_multicast_schedule,
     frame_schedule_from_decomps,
@@ -34,7 +37,8 @@ from mcastsched import (
 )
 from mcastsched import schedulers
 from mcastsched.schedulers import _assignment, _draw_offsets, _route_instance
-from conftest import shared_edge_instance
+from conftest import cyclic_garbage, shared_edge_instance
+from test_golden import CORPUS
 
 
 # --- oracles ---------------------------------------------------------------
@@ -762,3 +766,81 @@ def test_frames_driver_matches_reference(inst, ell, seed, fixed):
     assert assignment == want_assignment
     rng = spy.call_args.args[2]  # the driver's rng, after the last frame
     assert rng.getstate() == want_rng.getstate()
+
+
+# --- the cyclic collector is paused while sends are built --------------------
+# The wrapped loops allocate a few tracked tuples per send and build no
+# reference cycle, so reference counting frees all they drop and the
+# collector's passes over them could find nothing.
+
+corpus_instance = functools.cache(lambda name: CORPUS[name]())
+
+
+def _frames(inst, fixed=False):
+    ell = log2_ceil(inst.graph.node_count)
+    decomps = build_short_decompositions(inst, ell)
+    fixed_length = None
+    if fixed:  # no frame is longer than the whole schedule
+        schedule, _ = frame_schedule_from_decomps(inst, decomps, ell, 0)
+        fixed_length = schedule.declared_length
+    return lambda: frame_schedule_from_decomps(inst, decomps, ell, 0, fixed_length)
+
+
+PAUSED_CALLS = {
+    "greedy": lambda inst: lambda: greedy_schedule(inst),
+    "random_delay": lambda inst: lambda: random_delay_schedule(inst, 0),
+    "short_decompositions": lambda inst: lambda: build_short_decompositions(
+        inst, log2_ceil(inst.graph.node_count)
+    ),
+    "frames": _frames,
+    "frames_fixed_length": lambda inst: _frames(inst, fixed=True),
+    "congest_depths_known": lambda inst: lambda: distributed_multicast(
+        inst, seed=0, depths_known=True
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PAUSED_CALLS))
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_paused_calls_leave_no_cyclic_garbage(name, call):
+    assert cyclic_garbage(PAUSED_CALLS[call](corpus_instance(name))) == 0
+
+
+def test_collector_back_on_after_return_and_raise():
+    inst = gen_layered_instance(32, 4, 10, 0)
+    decomps = build_short_decompositions(inst, 2)
+    frame_schedule_from_decomps(inst, decomps, 2, 0)
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="over the fixed frame length 1"):
+        frame_schedule_from_decomps(inst, decomps, 2, 0, fixed_frame_length=1)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("call", sorted(PAUSED_CALLS))
+def test_callers_disabled_collector_stays_off(call):
+    run = PAUSED_CALLS[call](gen_random_instance(60, 8, 6, 3))
+    gc.disable()
+    try:
+        run()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_collector_stays_off_across_frames(monkeypatch):
+    """The per-frame `_route` calls nest in the driver's pause and must not
+    switch the collector back on between frames."""
+    inst = gen_random_instance(60, 8, 6, 3)
+    enabled = []
+    real = schedulers.unicast_frame_schedule
+
+    def spy(*args, **kwargs):
+        schedule = real(*args, **kwargs)
+        enabled.append(gc.isenabled())
+        return schedule
+
+    monkeypatch.setattr(schedulers, "unicast_frame_schedule", spy)
+    frame_multicast_schedule(inst, 5, ell=2)
+    assert len(enabled) > 1
+    assert not any(enabled)
+    assert gc.isenabled()
