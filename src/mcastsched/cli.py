@@ -45,26 +45,15 @@ from .model import (
 )
 from .schedule import schedule_from_json, schedule_to_json, simulate
 from .schedulers import (
+    SCHEDULERS,
     SeedSearchError,
-    deterministic_schedule,
-    frame_congestion_profile,
-    frame_multicast_schedule,
     frame_schedule_from_decomps,
-    greedy_schedule,
-    random_delay_schedule,
+    run_scheduler,
 )
 
 BENCH_COLUMNS = [
-    "n",
-    "congestion",
-    "dilation",
-    "scheduler",
-    "seed",
-    "length",
-    "frame_count",
-    "max_frame_congestion",
-    "wall_time_s",
-    "error",
+    "n", "congestion", "dilation", "scheduler", "seed", "length", "frame_count",
+    "max_frame_congestion", "wall_time_s", "error",
 ]
 
 seed_option = click.option(
@@ -109,26 +98,6 @@ def _write(text: str, output: str) -> None:
     else:
         with open(output, "w") as fh:
             fh.write(text)
-
-
-def _run_scheduler(instance, scheduler: str, seed: int, ell, budget):
-    """Returns (schedule, assignment-or-None, extra stats dict)."""
-    if scheduler == "greedy":
-        return greedy_schedule(instance), None, {}
-    if scheduler == "random-delay":
-        return random_delay_schedule(instance, seed), None, {}
-    if scheduler == "frames":
-        sched, assignment = frame_multicast_schedule(instance, seed, ell)
-        return sched, assignment, {}
-    if scheduler == "deterministic":
-        if budget is None:
-            budget = 8 * log2_ceil(instance.graph.node_count)
-        sched, found = deterministic_schedule(instance, budget, ell=ell)
-        return sched, None, {"chosen_seed": found}
-    if scheduler == "congest":
-        sched, rounds = distributed_multicast(instance, seed=seed, depths_known=True)
-        return sched, None, {"congest_rounds": rounds}
-    raise ValueError(f"unknown scheduler {scheduler}")
 
 
 @click.group()
@@ -208,7 +177,7 @@ def _emit_instance(instance, output):
 @click.argument("instance_file", type=click.Path(exists=True))
 @click.option(
     "--scheduler",
-    type=click.Choice(["greedy", "random-delay", "frames", "deterministic", "congest"]),
+    type=click.Choice(SCHEDULERS),
     default="frames",
     show_default=True,
 )
@@ -221,9 +190,10 @@ def cmd_schedule(instance_file, scheduler, seed, ell, budget, output):
     """Run a scheduler and write the validated schedule as JSON."""
     instance = _load_instance(instance_file)
     try:
-        sched, assignment, extra = _run_scheduler(instance, scheduler, seed, ell, budget)
+        run = run_scheduler(instance, scheduler, seed, ell=ell, budget=budget)
     except (ValueError, SeedSearchError) as exc:
         _fail(str(exc))
+    sched = run.schedule
     report = simulate(instance, sched)
     if not report.valid:
         click.echo(
@@ -238,14 +208,9 @@ def cmd_schedule(instance_file, scheduler, seed, ell, budget, output):
         f"length={sched.declared_length} C={m.congestion} D={m.dilation} n={n} "
         f"ratio={sched.declared_length / denom:.4f}"
     )
-    if assignment is not None:
-        profile = frame_congestion_profile(instance, assignment)
-        stats += (
-            f" frames={assignment.frame_count}"
-            f" max_frame_congestion={profile.max_frame_congestion}"
-        )
-    for k, v in extra.items():
-        stats += f" {k}={v}"
+    for k, v in vars(run).items():
+        if k != "schedule" and v is not None:
+            stats += f" {k}={v}"
     click.echo(stats, err=True)
     _write(schedule_to_json(sched) + "\n", output)
 
@@ -409,25 +374,23 @@ def cmd_markov_check(instance_file, schedule_file):
         sys.exit(1)
 
 
-def _bench_row(instance, metrics, scheduler, seed) -> dict:
+def _bench_row(instance, scheduler, seed) -> dict:
     """One CSV row of `mcast bench`; a failed run fills the error column."""
     row = {
         "n": instance.graph.node_count,
-        "congestion": metrics.congestion,
-        "dilation": metrics.dilation,
+        "congestion": instance.metrics.congestion,
+        "dilation": instance.metrics.dilation,
         "scheduler": scheduler,
         "seed": seed,
     }
     t0 = time.perf_counter()
     try:
-        sched, assignment, _ = _run_scheduler(instance, scheduler, seed, None, None)
-        if not simulate(instance, sched).valid:
+        run = run_scheduler(instance, scheduler, seed)
+        if not simulate(instance, run.schedule).valid:
             raise AssertionError("schedule failed validation")
-        row["length"] = sched.declared_length
-        if assignment is not None:
-            profile = frame_congestion_profile(instance, assignment)
-            row["frame_count"] = assignment.frame_count
-            row["max_frame_congestion"] = profile.max_frame_congestion
+        row["length"] = run.schedule.declared_length
+        row["frame_count"] = run.frames  # csv writes None as ""
+        row["max_frame_congestion"] = run.max_frame_congestion
     except Exception as exc:  # per-row failure, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_time_s"] = f"{time.perf_counter() - t0:.4f}"
@@ -454,15 +417,20 @@ def cmd_bench(suite_file, output):
     try:
         with open(suite_file) as fh:
             cells = json.load(fh)["cells"]
+        for i, cell in enumerate(cells):
+            seeds, names = cell["seeds"], cell["schedulers"]
+            if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
+                raise ValueError(f"cell {i}: seeds must be a list of integers")
+            if not isinstance(names, list) or any(s not in SCHEDULERS for s in names):
+                raise ValueError(f"cell {i}: schedulers must be a list of {', '.join(SCHEDULERS)}")
         for cell in cells:
             for seed in cell["seeds"]:
                 instance = gen_layered_instance(
                     cell["n"], cell["congestion"], cell["depth"], seed,
                     cell.get("prefix_cap"),
                 )
-                m = compute_metrics(instance)
                 for scheduler in cell["schedulers"]:
-                    writer.writerow(_bench_row(instance, m, scheduler, seed))
+                    writer.writerow(_bench_row(instance, scheduler, seed))
     except _READ_ERRORS as exc:
         _fail(f"invalid suite {suite_file}: {type(exc).__name__}: {exc}")
     _write(buf.getvalue(), output)

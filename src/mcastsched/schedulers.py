@@ -1,4 +1,5 @@
-"""Schedule construction: greedy, random-delay, frame-based, and seed search."""
+"""Schedule construction: greedy, random-delay, frame-based, seed search, and
+`run_scheduler`, which runs any of them or the CONGEST multicast by name."""
 
 from __future__ import annotations
 
@@ -110,6 +111,8 @@ def _draw_offsets(
     instance, congestion: int, ell: int, rng: random.Random
 ) -> dict[int, int]:
     """Per-tree level offsets, uniform in [0, ceil(C / ell)), drawn from rng."""
+    if ell < 1:
+        raise ValueError("chunk length must be >= 1")
     span = max(1, math.ceil(congestion / ell))
     return {t.tree_id: rng.randrange(span) for t in instance.trees}
 
@@ -135,9 +138,7 @@ def _route_single_hops(seqs, mids, on_edge, start) -> Schedule:
     return Schedule(tuple(sends), sends[-1].round if sends else 0)
 
 
-def unicast_frame_schedule(
-    frame_paths, graph, rng: random.Random, start: int = 0
-) -> Schedule:
+def unicast_frame_schedule(frame_paths, rng: random.Random, start: int = 0) -> Schedule:
     """Schedule one frame's unicasts along their given paths.
 
     frame_paths: list of (source, node sequence, message_id). Random start
@@ -258,7 +259,7 @@ def frame_schedule_from_decomps(
                     f"chunk top {seq[0]} of tree {tid} not delivered before frame {f}"
                 )
             paths.append((seq[0], seq, by_id[tid].message_id))
-        frag = unicast_frame_schedule(paths, instance.graph, rng, clock)
+        frag = unicast_frame_schedule(paths, rng, clock)
         sends.extend(frag.sends)  # rounds after the clock, in (round, u, v) order
         length = max(frag.declared_length - clock, 0)
         if fixed_frame_length is not None:
@@ -325,3 +326,44 @@ def deterministic_schedule(
             schedule, _ = frame_schedule_from_decomps(instance, decomps, ell, seed)
             return schedule, seed
     raise SeedSearchError(congestion_budget, seed_cap, best_seed, best_cong or 0)
+
+
+SCHEDULERS = ("greedy", "random-delay", "frames", "deterministic", "congest")
+
+
+@dataclass(frozen=True)
+class Run:
+    """A schedule and the counts its scheduler reports: frames and max_frame_congestion
+    for frames, chosen_seed for deterministic, congest_rounds for congest, else None."""
+
+    schedule: Schedule
+    frames: int | None = None
+    max_frame_congestion: int | None = None
+    chosen_seed: int | None = None
+    congest_rounds: int | None = None
+
+
+def run_scheduler(
+    instance: MulticastInstance, name: str, seed: int, *, ell=None, budget=None
+) -> Run:
+    """Run the scheduler `name`, one of SCHEDULERS. `ell` is the chunk length of
+    frames and deterministic. Deterministic ignores `seed` and searches seeds for
+    one whose frame congestion is at most `budget`, 8 * ceil(log2 n) by default."""
+    if name == "greedy":
+        return Run(greedy_schedule(instance))
+    if name == "random-delay":
+        return Run(random_delay_schedule(instance, seed))
+    if name == "frames":
+        schedule, assignment = frame_multicast_schedule(instance, seed, ell)
+        profile = frame_congestion_profile(instance, assignment)
+        return Run(schedule, assignment.frame_count, profile.max_frame_congestion)
+    if name == "deterministic":
+        if budget is None:
+            budget = 8 * log2_ceil(instance.graph.node_count)
+        schedule, found = deterministic_schedule(instance, budget, ell=ell)
+        return Run(schedule, chosen_seed=found)
+    if name == "congest":
+        from .congest import distributed_multicast  # congest.py imports this module
+        schedule, rounds = distributed_multicast(instance, seed=seed, depths_known=True)
+        return Run(schedule, congest_rounds=rounds)
+    raise ValueError(f"unknown scheduler {name}")

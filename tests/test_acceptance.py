@@ -18,6 +18,7 @@ import pytest
 import conftest
 
 from mcastsched import (
+    SCHEDULERS,
     build_lowerbound,
     build_short_decompositions,
     check_lemmas,
@@ -31,7 +32,6 @@ from mcastsched import (
     frame_multicast_schedule,
     gen_layered_instance,
     gen_random_instance,
-    greedy_schedule,
     heavy_path_decomposition,
     log2_ceil,
     markov_delay_check,
@@ -39,7 +39,7 @@ from mcastsched import (
     norm_edge,
     pad_to_n,
     rank_decomposition,
-    random_delay_schedule,
+    run_scheduler,
     schedule_to_json,
     short_decomposition,
     simulate,
@@ -57,12 +57,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def all_schedulers(instance, seed):
-    yield "greedy", greedy_schedule(instance)
-    yield "random-delay", random_delay_schedule(instance, seed)
-    yield "frames", frame_multicast_schedule(instance, seed)[0]
-    budget = 8 * log2_ceil(instance.graph.node_count)
-    yield "deterministic", deterministic_schedule(instance, budget)[0]
-    yield "congest", distributed_multicast(instance, seed=seed, depths_known=True)[0]
+    for name in SCHEDULERS:
+        yield name, run_scheduler(instance, name, seed).schedule
 
 
 # --- shared suites ---------------------------------------------------------

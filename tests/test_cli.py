@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import mcastsched.congest as congest_module
 import mcastsched.schedulers as schedulers_module
 from mcastsched import (
+    SCHEDULERS,
     build_short_decompositions,
     compute_metrics,
     decomposition_to_json,
@@ -17,6 +18,7 @@ from mcastsched import (
     instance_from_json,
     instance_to_json,
     log2_ceil,
+    run_scheduler,
     schedule_from_json,
     simulate,
 )
@@ -73,9 +75,7 @@ def test_gen_random_bad_params_exits_one(runner):
     assert res.exit_code == 1
 
 
-@pytest.mark.parametrize(
-    "scheduler", ["greedy", "random-delay", "frames", "deterministic", "congest"]
-)
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_schedule_validate_roundtrip(runner, tmp_path, scheduler):
     inst_file = tmp_path / "inst.json"
     res = runner.invoke(
@@ -99,6 +99,7 @@ def test_schedule_validate_roundtrip(runner, tmp_path, scheduler):
     inst = instance_from_json(inst_file.read_text())
     sched = schedule_from_json(sched_file.read_text())
     assert simulate(inst, sched).valid
+    assert sched == run_scheduler(inst, scheduler, 0).schedule
 
 
 @pytest.mark.parametrize(
@@ -367,6 +368,23 @@ def test_congest_sim_unrunnable_epsilon_exits_one(runner, tmp_path, epsilon, nee
     assert len(res.output.splitlines()) == 1
 
 
+@pytest.mark.parametrize("ell", ["0", "-3"])
+@pytest.mark.parametrize("scheduler", ["frames", "deterministic"])
+def test_schedule_bad_ell_on_root_only_trees_exits_one(runner, tmp_path, scheduler, ell):
+    """With no tree edge there is no chunk to cut, and the offsets are still
+    drawn with the chunk length; it must be rejected there too."""
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps({
+        "n": 3, "edges": [[0, 1], [1, 2]],
+        "trees": [{"id": 0, "root": 1, "msg": 0, "parent": {}}],
+    }))
+    res = runner.invoke(
+        main, ["schedule", str(inst_file), "--scheduler", scheduler, "--ell", ell]
+    )
+    _assert_clean_error(res, "chunk length must be >= 1")
+    assert len(res.output.splitlines()) == 1
+
+
 def test_markov_check_command(runner, tmp_path):
     inst_file = tmp_path / "shared_edge.json"
     write_shared_edge(inst_file)
@@ -426,8 +444,19 @@ def test_bench_grid_row_count_and_greedy_bound(runner, tmp_path):
                      "schedulers": ["greedy"]}]}, "depth must be < node_count"),
         ({"cells": [{"n": 8, "congestion": 0, "depth": 3, "seeds": [0],
                      "schedulers": ["greedy"]}]}, "congestion must be >= 1"),
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": "greedy"}]}, "cell 0: schedulers must be a list"),
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy", "fast"]}]}, "cell 0: schedulers must be a list"),
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": "01",
+                     "schedulers": ["greedy"]}]}, "cell 0: seeds must be a list of integers"),
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"]},
+                    {"n": 8, "congestion": 2, "depth": 3, "seeds": [True],
+                     "schedulers": ["greedy"]}]}, "cell 1: seeds must be a list of integers"),
     ],
-    ids=["missing-seeds", "cells-dict", "suite-list", "depth-ge-n", "congestion-0"],
+    ids=["missing-seeds", "cells-dict", "suite-list", "depth-ge-n", "congestion-0",
+         "schedulers-string", "scheduler-unknown", "seeds-string", "seeds-bool"],
 )
 def test_bench_malformed_suite_exits_one(runner, tmp_path, suite, needle):
     suite_file = tmp_path / "suite.json"

@@ -25,13 +25,11 @@ from mcastsched import (
     deterministic_schedule,
     distributed_multicast,
     distributed_rank_decomposition,
-    frame_multicast_schedule,
     frame_schedule_from_decomps,
     gen_layered_instance,
     gen_random_instance,
-    greedy_schedule,
     log2_ceil,
-    random_delay_schedule,
+    run_scheduler,
     schedule_to_json,
 )
 
@@ -78,7 +76,7 @@ def deterministic_result(instance) -> dict:
 def compute(name: str) -> dict:
     instance = CORPUS[name]()
     out = {
-        "greedy": fingerprint(greedy_schedule(instance)),
+        "greedy": fingerprint(run_scheduler(instance, "greedy", 0).schedule),
         "deterministic": deterministic_result(instance),
     }
     for seed in SEEDS:
@@ -88,11 +86,10 @@ def compute(name: str) -> dict:
             for tid in sorted(dist.decompositions)
         )
         out[str(seed)] = {
-            "random_delay": fingerprint(random_delay_schedule(instance, seed)),
-            "frames": fingerprint(frame_multicast_schedule(instance, seed)[0]),
-            "congest": fingerprint(
-                distributed_multicast(instance, EPSILON, seed, depths_known=True)[0]
-            ),
+            "random_delay": fingerprint(run_scheduler(instance, "random-delay", seed).schedule),
+            "frames": fingerprint(run_scheduler(instance, "frames", seed).schedule),
+            # run_scheduler's congest runs at EPSILON, distributed_multicast's default
+            "congest": fingerprint(run_scheduler(instance, "congest", seed).schedule),
             "congest_multiframe": fingerprint(
                 distributed_multicast(instance, MULTIFRAME_EPSILON, seed, depths_known=True)[0]
             ),

@@ -102,37 +102,30 @@ def test_random_delay_seed_changes_schedule():
 
 # --- unicast frames --------------------------------------------------------
 
-def path_graph(n):
-    return Graph.build(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def test_unicast_frame_respects_cprime_dprime():
-    g = path_graph(8)
     # 4 unicasts all crossing edge (3,4): C'=4, D'=7
     jobs = [(0, tuple(range(8)), m) for m in range(4)]
-    sched = unicast_frame_schedule(jobs, g, random.Random(0))
+    sched = unicast_frame_schedule(jobs, random.Random(0))
     per_round_edge = Counter((s.round, s.edge) for s in sched.sends)
     assert max(per_round_edge.values()) == 1
     assert sched.declared_length <= 4 * 7
 
 
 def test_unicast_frame_rejects_bad_source():
-    g = path_graph(4)
     with pytest.raises(ValueError):
-        unicast_frame_schedule([(1, (0, 1, 2), 0)], g, random.Random(0))
+        unicast_frame_schedule([(1, (0, 1, 2), 0)], random.Random(0))
 
 
 @settings(max_examples=25, deadline=None)
 @given(k=st.integers(1, 6), seed=st.integers(0, 10**6))
 def test_unicast_frame_property(k, seed):
     rng = random.Random(seed)
-    g = path_graph(10)
     jobs = []
     for m in range(k):
         a = rng.randrange(9)
         b = rng.randrange(a + 1, 10)
         jobs.append((a, tuple(range(a, b + 1)), m))
-    sched = unicast_frame_schedule(jobs, g, rng)
+    sched = unicast_frame_schedule(jobs, rng)
     load = Counter()
     for _, seq, _ in jobs:
         for a, b in zip(seq, seq[1:]):
@@ -517,7 +510,7 @@ def random_frame(rng, n, k, max_hops):
 def test_unicast_frame_matches_reference(n, k, max_hops, seed):
     paths = random_frame(random.Random(seed), n, k, max_hops)
     want, _ = reference_unicast_frame(paths, random.Random(seed))
-    assert unicast_frame_schedule(paths, path_graph(n), random.Random(seed)) == want
+    assert unicast_frame_schedule(paths, random.Random(seed)) == want
 
 
 def test_unicast_frame_matches_reference_when_fallback_fires():
@@ -528,7 +521,7 @@ def test_unicast_frame_matches_reference_when_fallback_fires():
         paths = random_frame(random.Random(seed), 3, 4, 1)
         ref_rng, rng = random.Random(seed), random.Random(seed)
         want, fell_back = reference_unicast_frame(paths, ref_rng)
-        assert unicast_frame_schedule(paths, path_graph(3), rng) == want
+        assert unicast_frame_schedule(paths, rng) == want
         assert rng.random() == ref_rng.random()
         fired += fell_back
     assert fired >= 10  # 17 of the 200 frames
@@ -608,7 +601,7 @@ def check_single_hop_frame(paths, n, seed, start):
     fired = _single_hop_length(seqs, delays) > cprime
     if fired:
         delays = [0] * len(seqs)
-    got = unicast_frame_schedule(paths, path_graph(n), random.Random(seed), start)
+    got = unicast_frame_schedule(paths, random.Random(seed), start)
     assert got == _route_frame(seqs, mids, delays, start)
     zero = [0] * len(seqs)
     walked = schedulers._route_single_hops(seqs, mids, on_edge, start)
@@ -661,7 +654,7 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
         real = getattr(schedulers, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    def unicast(paths, graph, rng, *args, real=schedulers.unicast_frame_schedule):
+    def unicast(paths, rng, *args, real=schedulers.unicast_frame_schedule):
         seqs = [tuple(seq) for _, seq, _ in paths]
         load = Counter(norm_edge(a, b) for seq in seqs for a, b in zip(seq, seq[1:]))
         cprime = max(load.values(), default=0)
@@ -672,7 +665,7 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
             not any(delays) or _single_hop_length(seqs, delays) > cprime
         )
         expected.append("_route_single_hops" if walk else "_route")
-        return real(paths, graph, rng, *args)
+        return real(paths, rng, *args)
 
     monkeypatch.setattr(schedulers, "_route", spy("_route"))
     monkeypatch.setattr(schedulers, "_route_single_hops", spy("_route_single_hops"))
@@ -714,7 +707,7 @@ def reference_frame_schedule_from_decomps(
                     f"chunk top {seq[0]} of tree {tid} not delivered before frame {f}"
                 )
             paths.append((seq[0], seq, by_id[tid].message_id))
-        frag = unicast_frame_schedule(paths, instance.graph, rng)
+        frag = unicast_frame_schedule(paths, rng)
         for s in frag.sends:
             sends.append(Send(s.round + clock, s.u, s.v, s.message_id))
         if fixed_frame_length is not None:
@@ -764,7 +757,7 @@ def test_frames_driver_matches_reference(inst, ell, seed, fixed):
     assert schedule_to_json(sched) == schedule_to_json(want_sched)
     assert sched == want_sched
     assert assignment == want_assignment
-    rng = spy.call_args.args[2]  # the driver's rng, after the last frame
+    rng = spy.call_args.args[1]  # the driver's rng, after the last frame
     assert rng.getstate() == want_rng.getstate()
 
 
