@@ -423,6 +423,11 @@ def cmd_bench(suite_file, output):
                 raise ValueError(f"cell {i}: seeds must be a list of integers")
             if not isinstance(names, list) or any(s not in SCHEDULERS for s in names):
                 raise ValueError(f"cell {i}: schedulers must be a list of {', '.join(SCHEDULERS)}")
+            for key in ("n", "congestion", "depth"):
+                if type(cell[key]) is not int:
+                    raise ValueError(f"cell {i}: {key} must be an integer")
+            if type(cell.get("prefix_cap")) not in (int, type(None)):
+                raise ValueError(f"cell {i}: prefix_cap must be an integer or null")
         for cell in cells:
             for seed in cell["seeds"]:
                 instance = gen_layered_instance(

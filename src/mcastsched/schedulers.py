@@ -10,28 +10,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .decomposition import PathDecomposition, short_decomposition
-from .model import MulticastInstance, compute_metrics, log2_ceil, norm_edge
+from .model import MulticastInstance, log2_ceil, norm_edge
 from .schedule import Schedule, Send, _gc_paused
-
-
-@dataclass(frozen=True)
-class FrameAssignment:
-    """Per-tree random offsets and the resulting chunk -> frame map."""
-
-    offset: dict[int, int]  # tree_id -> offset
-    frame_of: dict[tuple[int, int], int]  # (tree_id, path index) -> frame
-    chunks: dict[int, PathDecomposition]  # tree_id -> short decomposition
-
-    @property
-    def frame_count(self) -> int:
-        """Frames the driver runs: frame numbers no chunk falls in are skipped."""
-        return len(set(self.frame_of.values()))
-
-
-@dataclass(frozen=True)
-class FrameCongestionProfile:
-    counts: dict[tuple[int, tuple[int, int]], int]  # (frame, edge) -> paths crossing
-    max_frame_congestion: int
 
 
 class SeedSearchError(RuntimeError):
@@ -107,20 +87,17 @@ def greedy_schedule(instance: MulticastInstance) -> Schedule:
     return _route_instance(instance, lambda tid: 1, lambda tid, c, depth: -height[tid][c])
 
 
-def _draw_offsets(
-    instance, congestion: int, ell: int, rng: random.Random
-) -> dict[int, int]:
+def _draw_offsets(instance, ell: int, rng: random.Random) -> dict[int, int]:
     """Per-tree level offsets, uniform in [0, ceil(C / ell)), drawn from rng."""
     if ell < 1:
         raise ValueError("chunk length must be >= 1")
-    span = max(1, math.ceil(congestion / ell))
+    span = max(1, math.ceil(instance.metrics.congestion / ell))
     return {t.tree_id: rng.randrange(span) for t in instance.trees}
 
 
 def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
     """Each tree waits a uniform delay in [0, C) and then forwards greedily."""
-    metrics = compute_metrics(instance)
-    delay = _draw_offsets(instance, metrics.congestion, 1, random.Random(seed))
+    delay = _draw_offsets(instance, 1, random.Random(seed))
     return _route_instance(
         instance, lambda tid: delay[tid] + 1, lambda tid, c, depth: delay[tid] + depth
     )
@@ -138,8 +115,11 @@ def _route_single_hops(seqs, mids, on_edge, start) -> Schedule:
     return Schedule(tuple(sends), sends[-1].round if sends else 0)
 
 
-def unicast_frame_schedule(frame_paths, rng: random.Random, start: int = 0) -> Schedule:
-    """Schedule one frame's unicasts along their given paths.
+def unicast_frame_schedule(
+    frame_paths, rng: random.Random, start: int = 0
+) -> tuple[Schedule, int]:
+    """Schedule one frame's unicasts along their given paths; returns the
+    schedule and the frame's congestion C'.
 
     frame_paths: list of (source, node sequence, message_id). Random start
     delays in [0, C'); falls back to zero delays if the result ever exceeds
@@ -200,7 +180,7 @@ def unicast_frame_schedule(frame_paths, rng: random.Random, start: int = 0) -> S
     else:
         schedule = route(delays)
     assert schedule.declared_length - start <= cprime * dprime or not seqs
-    return schedule
+    return schedule, cprime
 
 
 @_gc_paused
@@ -214,13 +194,16 @@ def build_short_decompositions(
     }
 
 
-def _assignment(decomps, offsets) -> FrameAssignment:
-    frame_of = {
-        (tid, pidx): dec.level[pidx] + offsets[tid]
-        for tid, dec in decomps.items()
-        for pidx in range(len(dec.paths))
-    }
-    return FrameAssignment(dict(offsets), frame_of, decomps)
+def _frames(decomps, offsets) -> dict[int, list[tuple[int, int]]]:
+    """Group the chunks into frames: chunk `pidx` of tree `tid` runs in frame
+    level + offsets[tid]. Frames ascend, and so do the (tree id, path index)
+    keys in each."""
+    by_frame = defaultdict(list)
+    for tid in sorted(decomps):
+        level, offset = decomps[tid].level, offsets[tid]
+        for pidx in range(len(decomps[tid].paths)):
+            by_frame[level[pidx] + offset].append((tid, pidx))
+    return {f: by_frame[f] for f in sorted(by_frame)}
 
 
 @_gc_paused
@@ -232,34 +215,29 @@ def frame_schedule_from_decomps(
     fixed_frame_length: int | None = None,
     *,
     start: int = 0,
-) -> tuple[Schedule, FrameAssignment]:
+) -> tuple[Schedule, dict[int, int]]:
     """Shift each tree's chunk levels by a random offset and run the frames
     sequentially, each as a simultaneous-unicast sub-problem routed from the
     round where the previous frame ended. The first frame begins after round
-    `start`."""
-    metrics = compute_metrics(instance)
+    `start`. Returns the schedule and each routed frame's congestion C'."""
     rng = random.Random(seed)  # draws the offsets, then every frame's delays
-    offsets = _draw_offsets(instance, metrics.congestion, ell, rng)
-    assignment = _assignment(decomps, offsets)
-
-    by_frame: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for key, f in assignment.frame_of.items():
-        by_frame[f].append(key)  # the (tree id, path index) key itself
+    frames = _frames(decomps, _draw_offsets(instance, ell, rng))
 
     by_id = instance.tree_by_id
     delivered = {t.tree_id: {t.root} for t in instance.trees}
     sends: list[Send] = []
+    congestion: dict[int, int] = {}  # frame -> C'
     clock = start
-    for f in sorted(by_frame):
+    for f, keys in frames.items():
         paths = []
-        for tid, pidx in sorted(by_frame[f]):
+        for tid, pidx in keys:
             seq = decomps[tid].paths[pidx]
             if seq[0] not in delivered[tid]:
                 raise AssertionError(
                     f"chunk top {seq[0]} of tree {tid} not delivered before frame {f}"
                 )
             paths.append((seq[0], seq, by_id[tid].message_id))
-        frag = unicast_frame_schedule(paths, rng, clock)
+        frag, congestion[f] = unicast_frame_schedule(paths, rng, clock)
         sends.extend(frag.sends)  # rounds after the clock, in (round, u, v) order
         length = max(frag.declared_length - clock, 0)
         if fixed_frame_length is not None:
@@ -271,9 +249,9 @@ def frame_schedule_from_decomps(
             clock += fixed_frame_length
         else:
             clock += length
-        for tid, pidx in by_frame[f]:
+        for tid, pidx in keys:
             delivered[tid].update(decomps[tid].paths[pidx])
-    return Schedule(tuple(sends), sends[-1].round if sends else start), assignment
+    return Schedule(tuple(sends), sends[-1].round if sends else start), congestion
 
 
 def frame_multicast_schedule(
@@ -281,9 +259,10 @@ def frame_multicast_schedule(
     seed: int,
     ell: int | None = None,
     fixed_frame_length: int | None = None,
-) -> tuple[Schedule, FrameAssignment]:
+) -> tuple[Schedule, dict[int, int]]:
     """Main scheduler: heavy-path decompositions cut into chunks of ell edges,
-    random level offsets, frames run back to back."""
+    random level offsets, frames run back to back. Returns the schedule and
+    each routed frame's congestion C'."""
     if ell is None:
         ell = log2_ceil(instance.graph.node_count)
     decomps = build_short_decompositions(instance, ell)
@@ -292,15 +271,17 @@ def frame_multicast_schedule(
     )
 
 
-def frame_congestion_profile(
-    instance: MulticastInstance, assignment: FrameAssignment
-) -> FrameCongestionProfile:
-    counts: Counter = Counter()
-    for (tid, pidx), f in assignment.frame_of.items():
-        seq = assignment.chunks[tid].paths[pidx]
-        for a, b in zip(seq, seq[1:]):
-            counts[(f, norm_edge(a, b))] += 1
-    return FrameCongestionProfile(dict(counts), max(counts.values(), default=0))
+def frame_congestion_profile(decomps, offsets) -> dict[int, int]:
+    """Each frame's congestion C' under these offsets, without routing: the
+    most of its chunks that cross one edge."""
+    profile = {}
+    for f, keys in _frames(decomps, offsets).items():
+        load: Counter = Counter()
+        for tid, pidx in keys:
+            seq = decomps[tid].paths[pidx]
+            load.update(map(norm_edge, seq, seq[1:]))
+        profile[f] = max(load.values(), default=0)
+    return profile
 
 
 def deterministic_schedule(
@@ -314,15 +295,14 @@ def deterministic_schedule(
         raise ValueError("congestion_budget must be >= 1")
     if ell is None:
         ell = log2_ceil(instance.graph.node_count)
-    metrics = compute_metrics(instance)
     decomps = build_short_decompositions(instance, ell)
     best_seed, best_cong = -1, None
     for seed in range(seed_cap):
-        offsets = _draw_offsets(instance, metrics.congestion, ell, random.Random(seed))
-        profile = frame_congestion_profile(instance, _assignment(decomps, offsets))
-        if best_cong is None or profile.max_frame_congestion < best_cong:
-            best_seed, best_cong = seed, profile.max_frame_congestion
-        if profile.max_frame_congestion <= congestion_budget:
+        offsets = _draw_offsets(instance, ell, random.Random(seed))
+        cong = max(frame_congestion_profile(decomps, offsets).values(), default=0)
+        if best_cong is None or cong < best_cong:
+            best_seed, best_cong = seed, cong
+        if cong <= congestion_budget:
             schedule, _ = frame_schedule_from_decomps(instance, decomps, ell, seed)
             return schedule, seed
     raise SeedSearchError(congestion_budget, seed_cap, best_seed, best_cong or 0)
@@ -354,9 +334,8 @@ def run_scheduler(
     if name == "random-delay":
         return Run(random_delay_schedule(instance, seed))
     if name == "frames":
-        schedule, assignment = frame_multicast_schedule(instance, seed, ell)
-        profile = frame_congestion_profile(instance, assignment)
-        return Run(schedule, assignment.frame_count, profile.max_frame_congestion)
+        schedule, congestion = frame_multicast_schedule(instance, seed, ell)
+        return Run(schedule, len(congestion), max(congestion.values(), default=0))
     if name == "deterministic":
         if budget is None:
             budget = 8 * log2_ceil(instance.graph.node_count)

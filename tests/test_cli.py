@@ -433,6 +433,19 @@ def test_bench_grid_row_count_and_greedy_bound(runner, tmp_path):
             assert row["frame_count"] != ""
 
 
+def test_bench_prefix_cap_int_null_or_absent_runs(runner, tmp_path):
+    """A null prefix_cap runs like an absent one; an integer one is passed on."""
+    suite = tmp_path / "suite.json"
+    cell = {"n": 32, "congestion": 4, "depth": 6, "seeds": [0], "schedulers": ["greedy"]}
+    cells = [cell, {**cell, "prefix_cap": None}, {**cell, "prefix_cap": 2}]
+    suite.write_text(json.dumps({"cells": cells}))
+    res = runner.invoke(main, ["bench", "--suite", str(suite)])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(io.StringIO(res.output)))
+    assert [row["error"] for row in rows] == ["", "", ""]
+    assert rows[0]["length"] == rows[1]["length"]
+
+
 @pytest.mark.parametrize(
     "suite, needle",
     [
@@ -454,9 +467,24 @@ def test_bench_grid_row_count_and_greedy_bound(runner, tmp_path):
                      "schedulers": ["greedy"]},
                     {"n": 8, "congestion": 2, "depth": 3, "seeds": [True],
                      "schedulers": ["greedy"]}]}, "cell 1: seeds must be a list of integers"),
+        ({"cells": [{"n": 8.0, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"]}]}, "cell 0: n must be an integer"),
+        ({"cells": [{"n": 8, "congestion": True, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"]}]}, "cell 0: congestion must be an integer"),
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3.5, "seeds": [0],
+                     "schedulers": ["greedy"]}]}, "cell 0: depth must be an integer"),
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"]},
+                    {"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"], "prefix_cap": True}]},
+         "cell 1: prefix_cap must be an integer or null"),
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"], "prefix_cap": 1.5}]},
+         "cell 0: prefix_cap must be an integer or null"),
     ],
     ids=["missing-seeds", "cells-dict", "suite-list", "depth-ge-n", "congestion-0",
-         "schedulers-string", "scheduler-unknown", "seeds-string", "seeds-bool"],
+         "schedulers-string", "scheduler-unknown", "seeds-string", "seeds-bool",
+         "n-float", "congestion-bool", "depth-float", "prefix-cap-bool", "prefix-cap-float"],
 )
 def test_bench_malformed_suite_exits_one(runner, tmp_path, suite, needle):
     suite_file = tmp_path / "suite.json"

@@ -31,26 +31,44 @@ from mcastsched import (
     log2_ceil,
     norm_edge,
     random_delay_schedule,
+    run_scheduler,
     schedule_to_json,
     simulate,
     unicast_frame_schedule,
 )
 from mcastsched import schedulers
-from mcastsched.schedulers import _assignment, _draw_offsets, _route_instance
+from mcastsched.schedulers import _draw_offsets, _route_instance
 from conftest import cyclic_garbage, shared_edge_instance
-from test_golden import CORPUS
+from test_golden import CORPUS, SEEDS
 
 
 # --- oracles ---------------------------------------------------------------
 
-def oracle_frame_counts(assignment):
-    """Recount (frame, edge) path crossings straight from the chunk paths."""
-    counts = Counter()
-    for (tid, pidx), f in assignment.frame_of.items():
-        seq = assignment.chunks[tid].paths[pidx]
-        for a, b in zip(seq, seq[1:]):
-            counts[(f, norm_edge(a, b))] += 1
-    return counts
+def oracle_frame_paths(instance, decomps, offsets):
+    """frame -> its unicasts (source, chunk path, message id), grouped straight
+    from each chunk's level and its tree's offset, frames and chunks sorted."""
+    frame_of = {
+        (tid, pidx): dec.level[pidx] + offsets[tid]
+        for tid, dec in decomps.items()
+        for pidx in range(len(dec.paths))
+    }
+    by_frame = defaultdict(list)
+    for (tid, pidx), f in sorted(frame_of.items()):
+        seq = decomps[tid].paths[pidx]
+        by_frame[f].append((seq[0], seq, instance.tree_by_id[tid].message_id))
+    return {f: by_frame[f] for f in sorted(by_frame)}
+
+
+def oracle_frame_congestion(instance, decomps, offsets):
+    """frame -> C', recounted edge by edge from the chunk paths."""
+    out = {}
+    for f, paths in oracle_frame_paths(instance, decomps, offsets).items():
+        load = Counter()
+        for _, seq, _ in paths:
+            for a, b in zip(seq, seq[1:]):
+                load[norm_edge(a, b)] += 1
+        out[f] = max(load.values(), default=0)
+    return out
 
 
 def assert_valid(instance, schedule):
@@ -105,7 +123,8 @@ def test_random_delay_seed_changes_schedule():
 def test_unicast_frame_respects_cprime_dprime():
     # 4 unicasts all crossing edge (3,4): C'=4, D'=7
     jobs = [(0, tuple(range(8)), m) for m in range(4)]
-    sched = unicast_frame_schedule(jobs, random.Random(0))
+    sched, cprime = unicast_frame_schedule(jobs, random.Random(0))
+    assert cprime == 4
     per_round_edge = Counter((s.round, s.edge) for s in sched.sends)
     assert max(per_round_edge.values()) == 1
     assert sched.declared_length <= 4 * 7
@@ -125,12 +144,13 @@ def test_unicast_frame_property(k, seed):
         a = rng.randrange(9)
         b = rng.randrange(a + 1, 10)
         jobs.append((a, tuple(range(a, b + 1)), m))
-    sched = unicast_frame_schedule(jobs, rng)
+    sched, got_cprime = unicast_frame_schedule(jobs, rng)
     load = Counter()
     for _, seq, _ in jobs:
         for a, b in zip(seq, seq[1:]):
             load[(a, b)] += 1
     cprime = max(load.values())
+    assert got_cprime == cprime
     dprime = max(len(j[1]) - 1 for j in jobs)
     assert sched.declared_length <= cprime * dprime
     # each message traverses its whole path in order
@@ -146,9 +166,9 @@ def test_unicast_frame_property(k, seed):
 @pytest.mark.parametrize("seed", range(15))
 def test_frame_scheduler_valid_random(seed):
     inst = gen_random_instance(20 + 10 * (seed % 4), 3 + seed % 4, 4 + seed % 3, seed)
-    sched, assignment = frame_multicast_schedule(inst, seed)
+    sched, congestion = frame_multicast_schedule(inst, seed)
     assert_valid(inst, sched)
-    assert assignment.frame_count >= 1
+    assert len(congestion) >= 1
 
 
 def test_frame_scheduler_valid_layered():
@@ -157,22 +177,37 @@ def test_frame_scheduler_valid_layered():
     assert_valid(inst, sched)
 
 
+def check_frame_congestion(inst, ell, seed):
+    """The driver's {frame: C'} equals `frame_congestion_profile` for the same
+    offsets and a recount from the chunk paths, ascending, one entry per
+    routed frame."""
+    decomps = build_short_decompositions(inst, ell)
+    offsets = _draw_offsets(inst, ell, random.Random(seed))
+    with mock.patch.object(
+        schedulers, "unicast_frame_schedule", wraps=schedulers.unicast_frame_schedule
+    ) as spy:
+        _, congestion = frame_schedule_from_decomps(inst, decomps, ell, seed)
+    want = oracle_frame_congestion(inst, decomps, offsets)
+    assert list(congestion.items()) == list(want.items())
+    assert frame_congestion_profile(decomps, offsets) == want
+    assert len(congestion) == spy.call_count
+
+
 def test_frame_profile_matches_oracle():
-    inst = gen_layered_instance(64, 10, 20, 4)
-    _, assignment = frame_multicast_schedule(inst, 4)
-    profile = frame_congestion_profile(inst, assignment)
-    oracle = oracle_frame_counts(assignment)
-    assert profile.counts == dict(oracle)
-    assert profile.max_frame_congestion == max(oracle.values())
+    check_frame_congestion(gen_layered_instance(64, 10, 20, 4), 6, 4)
 
 
 def test_frame_offsets_bounded_by_span():
+    """Offsets are the rng's next draws in [0, ceil(C / ell)), one per tree in
+    instance order."""
     inst = gen_layered_instance(64, 12, 20, 1)
     ell = 4
-    _, assignment = frame_multicast_schedule(inst, 1, ell=ell)
-    m = compute_metrics(inst)
-    span = -(-m.congestion // ell)
-    assert all(0 <= off < span for off in assignment.offset.values())
+    span = -(-compute_metrics(inst).congestion // ell)
+    offsets = _draw_offsets(inst, ell, random.Random(1))
+    rng = random.Random(1)
+    assert offsets == {t.tree_id: rng.randrange(span) for t in inst.trees}
+    assert all(0 <= off < span for off in offsets.values())
+    assert len(set(offsets.values())) > 1
 
 
 def test_fixed_frame_length_pads_and_rejects():
@@ -213,13 +248,12 @@ def test_frames_driver_calls_module_unicast_once_per_frame(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(schedulers, "unicast_frame_schedule", spy)
-    _, assignment = frame_multicast_schedule(inst, 5, ell=2)
-    by_frame = defaultdict(list)
-    for (tid, pidx), f in sorted(assignment.frame_of.items()):
-        seq = assignment.chunks[tid].paths[pidx]
-        by_frame[f].append((seq[0], seq, inst.tree_by_id[tid].message_id))
+    _, congestion = frame_multicast_schedule(inst, 5, ell=2)
+    decomps = build_short_decompositions(inst, 2)
+    by_frame = oracle_frame_paths(inst, decomps, _draw_offsets(inst, 2, random.Random(5)))
     assert len(by_frame) > 1
-    assert calls == [by_frame[f] for f in sorted(by_frame)]
+    assert calls == list(by_frame.values())
+    assert list(congestion) == list(by_frame)
 
 
 def _schedule_root_with_parent(conn):
@@ -264,8 +298,30 @@ def test_deterministic_reproducible():
     assert seed1 == seed2
     assert schedule_to_json(s1) == schedule_to_json(s2)
     assert_valid(inst, s1)
-    _, assignment = frame_multicast_schedule(inst, seed1)
-    assert frame_congestion_profile(inst, assignment).max_frame_congestion <= budget
+    _, congestion = frame_multicast_schedule(inst, seed1)
+    assert max(congestion.values()) <= budget
+
+
+def test_profile_runs_once_per_seed_tried(monkeypatch):
+    """The seed search calls the module-level `frame_congestion_profile` once
+    per seed it tries, so its calls count the seeds tried; the frames driver
+    returns each frame's C' itself and calls it never, nor do
+    `frame_multicast_schedule` and `run_scheduler(..., "frames")`."""
+    inst = gen_layered_instance(64, 16, 20, 0)
+    ell = log2_ceil(64)
+    calls = []
+    real = schedulers.frame_congestion_profile
+    monkeypatch.setattr(
+        schedulers, "frame_congestion_profile", lambda *a: calls.append(1) or real(*a)
+    )
+    _, seed = deterministic_schedule(inst, 6)
+    assert seed == 9  # seeds 0-8 are over budget
+    assert len(calls) == seed + 1
+    calls.clear()
+    frame_schedule_from_decomps(inst, build_short_decompositions(inst, ell), ell, 0)
+    frame_multicast_schedule(inst, 0)
+    run_scheduler(inst, "frames", 0)
+    assert calls == []
 
 
 def test_deterministic_exhausts_and_reports_best():
@@ -510,7 +566,7 @@ def random_frame(rng, n, k, max_hops):
 def test_unicast_frame_matches_reference(n, k, max_hops, seed):
     paths = random_frame(random.Random(seed), n, k, max_hops)
     want, _ = reference_unicast_frame(paths, random.Random(seed))
-    assert unicast_frame_schedule(paths, random.Random(seed)) == want
+    assert unicast_frame_schedule(paths, random.Random(seed))[0] == want
 
 
 def test_unicast_frame_matches_reference_when_fallback_fires():
@@ -521,7 +577,7 @@ def test_unicast_frame_matches_reference_when_fallback_fires():
         paths = random_frame(random.Random(seed), 3, 4, 1)
         ref_rng, rng = random.Random(seed), random.Random(seed)
         want, fell_back = reference_unicast_frame(paths, ref_rng)
-        assert unicast_frame_schedule(paths, rng) == want
+        assert unicast_frame_schedule(paths, rng)[0] == want
         assert rng.random() == ref_rng.random()
         fired += fell_back
     assert fired >= 10  # 17 of the 200 frames
@@ -601,8 +657,9 @@ def check_single_hop_frame(paths, n, seed, start):
     fired = _single_hop_length(seqs, delays) > cprime
     if fired:
         delays = [0] * len(seqs)
-    got = unicast_frame_schedule(paths, random.Random(seed), start)
+    got, got_cprime = unicast_frame_schedule(paths, random.Random(seed), start)
     assert got == _route_frame(seqs, mids, delays, start)
+    assert got_cprime == cprime
     zero = [0] * len(seqs)
     walked = schedulers._route_single_hops(seqs, mids, on_edge, start)
     assert walked == _route_frame(seqs, mids, zero, start)
@@ -670,8 +727,8 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
     monkeypatch.setattr(schedulers, "_route", spy("_route"))
     monkeypatch.setattr(schedulers, "_route_single_hops", spy("_route_single_hops"))
     monkeypatch.setattr(schedulers, "unicast_frame_schedule", unicast)
-    _, assignment = frame_multicast_schedule(inst, seed)
-    assert len(calls) == len(set(assignment.frame_of.values()))
+    _, congestion = frame_multicast_schedule(inst, seed)
+    assert len(calls) == len(congestion)
     assert calls == expected
     assert set(calls) == {"_route", "_route_single_hops"}
 
@@ -684,14 +741,18 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
 def reference_frame_schedule_from_decomps(
     instance, decomps, ell, seed, fixed_frame_length=None
 ):
-    """`frame_schedule_from_decomps` as it was; also returns its rng."""
-    metrics = compute_metrics(instance)
+    """`frame_schedule_from_decomps` as it was; also returns its chunk -> frame
+    map and its rng."""
     rng = random.Random(seed)  # draws the offsets, then every frame's delays
-    offsets = _draw_offsets(instance, metrics.congestion, ell, rng)
-    assignment = _assignment(decomps, offsets)
+    offsets = _draw_offsets(instance, ell, rng)
+    frame_of = {
+        (tid, pidx): dec.level[pidx] + offsets[tid]
+        for tid, dec in decomps.items()
+        for pidx in range(len(dec.paths))
+    }
 
     by_frame: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for (tid, pidx), f in assignment.frame_of.items():
+    for (tid, pidx), f in frame_of.items():
         by_frame[f].append((tid, pidx))
 
     by_id = instance.tree_by_id
@@ -707,7 +768,7 @@ def reference_frame_schedule_from_decomps(
                     f"chunk top {seq[0]} of tree {tid} not delivered before frame {f}"
                 )
             paths.append((seq[0], seq, by_id[tid].message_id))
-        frag = unicast_frame_schedule(paths, rng)
+        frag, _ = unicast_frame_schedule(paths, rng)
         for s in frag.sends:
             sends.append(Send(s.round + clock, s.u, s.v, s.message_id))
         if fixed_frame_length is not None:
@@ -721,7 +782,7 @@ def reference_frame_schedule_from_decomps(
             clock += frag.declared_length
         for tid, pidx in by_frame[f]:
             delivered[tid].update(decomps[tid].paths[pidx])
-    return Schedule.from_sends(sends), assignment, rng
+    return Schedule.from_sends(sends), frame_of, rng
 
 
 def _outcome(call):
@@ -752,21 +813,37 @@ def test_frames_driver_matches_reference(inst, ell, seed, fixed):
     if isinstance(want, str):
         assert got == want
         return
-    sched, assignment = got
-    want_sched, want_assignment, want_rng = want
+    sched, congestion = got
+    want_sched, want_frame_of, want_rng = want
     assert schedule_to_json(sched) == schedule_to_json(want_sched)
     assert sched == want_sched
-    assert assignment == want_assignment
+    assert list(congestion) == sorted(set(want_frame_of.values()))
     rng = spy.call_args.args[1]  # the driver's rng, after the last frame
     assert rng.getstate() == want_rng.getstate()
+
+
+# --- differential: each frame's C' against a recount -------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances, ell=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_frame_congestion_matches_recount(inst, ell, seed):
+    check_frame_congestion(inst, ell, seed)
+
+
+corpus_instance = functools.cache(lambda name: CORPUS[name]())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_frame_congestion_matches_recount_on_corpus(name, seed):
+    inst = corpus_instance(name)
+    check_frame_congestion(inst, log2_ceil(inst.graph.node_count), seed)
 
 
 # --- the cyclic collector is paused while sends are built --------------------
 # The wrapped loops allocate a few tracked tuples per send and build no
 # reference cycle, so reference counting frees all they drop and the
 # collector's passes over them could find nothing.
-
-corpus_instance = functools.cache(lambda name: CORPUS[name]())
 
 
 def _frames(inst, fixed=False):
@@ -828,9 +905,9 @@ def test_collector_stays_off_across_frames(monkeypatch):
     real = schedulers.unicast_frame_schedule
 
     def spy(*args, **kwargs):
-        schedule = real(*args, **kwargs)
+        result = real(*args, **kwargs)
         enabled.append(gc.isenabled())
-        return schedule
+        return result
 
     monkeypatch.setattr(schedulers, "unicast_frame_schedule", spy)
     frame_multicast_schedule(inst, 5, ell=2)
