@@ -51,6 +51,7 @@ from .schedulers import (
     run_scheduler,
 )
 
+BENCH_CELL_KEYS = {"n", "congestion", "depth", "prefix_cap", "seeds", "schedulers"}
 BENCH_COLUMNS = [
     "n", "congestion", "dilation", "scheduler", "seed", "length", "frame_count",
     "max_frame_congestion", "wall_time_s", "error",
@@ -419,6 +420,8 @@ def cmd_bench(suite_file, output):
             cells = json.load(fh)["cells"]
         for i, cell in enumerate(cells):
             seeds, names = cell["seeds"], cell["schedulers"]
+            if unknown := cell.keys() - BENCH_CELL_KEYS:
+                raise ValueError(f"cell {i}: unknown key {min(unknown)!r}")
             if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
                 raise ValueError(f"cell {i}: seeds must be a list of integers")
             if not isinstance(names, list) or any(s not in SCHEDULERS for s in names):

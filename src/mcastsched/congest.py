@@ -113,7 +113,7 @@ def run_congest(
     each round's record lists its edges as stepping every node would.
     """
     budget = network.bits_per_edge_per_round
-    has_edge = network.graph.has_edge
+    edges = network.graph.edges
     transcript = CongestTranscript()
     position = {v: i for i, v in enumerate(programs)}
     releases: dict[int, list[int]] = defaultdict(list)
@@ -145,7 +145,7 @@ def run_congest(
             for u, bits in out.items():
                 if not bits:
                     continue
-                if not has_edge(v, u):
+                if norm_edge(v, u) not in edges:
                     raise ValueError(f"node {v} sent on non-edge ({v},{u})")
                 if len(bits) > budget:
                     raise BudgetViolation(r, (v, u), len(bits), budget)
@@ -498,7 +498,7 @@ def distributed_rank_decomposition(
     for t in instance.trees:
         for v in t.depth:
             parent = None if v == t.root else t.parent[v]
-            records[v].trees[t.tree_id] = (parent, t.children[v])
+            records[v].trees[t.tree_id] = (parent, t.children.get(v, ()))
     transcripts = [
         run_congest(
             network,
@@ -522,25 +522,18 @@ def distributed_rank_decomposition(
 
 def _level_range_slices(tree, band: int):
     """Split a tree into forests of `band` consecutive depth levels; yields
-    (range_index, component trees as (root, parent map))."""
-    ranges = defaultdict(dict)
-    for c, d in tree.depth.items():  # fixed by the tree, unlike parent-map order
+    (range_index, slice root, slice tree as a parent map), ranges in order
+    and each range's slices in the order tree.depth meets them."""
+    ranges = defaultdict(dict)  # range index -> slice root -> parent map
+    slice_root = {}
+    for c, d in tree.depth.items():  # each parent before its children
         if c != tree.root:
-            ranges[(d - 1) // band][c] = tree.parent[c]
+            p = tree.parent[c]
+            r, top = divmod(d - 1, band)
+            slice_root[c] = s = p if top == 0 else slice_root[p]
+            ranges[r].setdefault(s, {})[c] = p
     for r in sorted(ranges):
-        parent = ranges[r]
-        kids = defaultdict(list)
-        for c, p in parent.items():
-            kids[p].append(c)
-        roots = [p for p in kids if p not in parent]
-        for root in roots:
-            comp = {}
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for c in kids.get(v, ()):
-                    comp[c] = v
-                    stack.append(c)
+        for root, comp in ranges[r].items():
             yield r, root, comp
 
 

@@ -66,57 +66,45 @@ class MulticastTree:
     message_id: int
 
     @cached_property
-    def children(self) -> dict[int, list[int]]:
-        """Sorted children of each node. A parent entry for the root (which
-        `validate_instance` reports) is left out, so no walk down from the
-        root can come back to it."""
-        ch: dict[int, list[int]] = {self.root: []}
+    def _views(self) -> tuple[dict, dict, frozenset, frozenset]:
+        """`children`, `depth`, `edges` and `leaves`: one pass over `parent`
+        groups the children, one stack walk from the root fills the rest."""
+        root = self.root
+        children: dict[int, list[int]] = {}
         for c, p in self.parent.items():
-            ch.setdefault(p, [])
-            ch.setdefault(c, [])
-            ch[p].append(c)
-        if self.root in self.parent:
-            ch[self.parent[self.root]].remove(self.root)
-        for v in ch:
-            ch[v].sort()
-        return ch
-
-    @cached_property
-    def nodes(self) -> frozenset[int]:
-        out = {self.root}
-        for c, p in self.parent.items():
-            out.add(c)
-            out.add(p)
-        return frozenset(out)
-
-    @cached_property
-    def depth(self) -> dict[int, int]:
-        """Hop distance from the root, for nodes reachable through the parent map."""
-        d = {self.root: 0}
-        stack = [self.root]
-        while stack:
+            if c != root:  # so no walk down from the root comes back to it
+                children.setdefault(p, []).append(c)
+        for ch in children.values():
+            ch.sort()
+        depth = {root: 0}
+        edges, leaves = [], []
+        stack = [root]
+        while stack:  # each reachable node has one parent, so none comes twice
             v = stack.pop()
-            for c in self.children.get(v, ()):
-                if c not in d:
-                    d[c] = d[v] + 1
-                    stack.append(c)
-        return d
+            ch = children.get(v)
+            if ch is None:
+                leaves.append(v)
+                continue
+            d = depth[v] + 1
+            for c in ch:
+                depth[c] = d
+                edges.append(norm_edge(v, c))
+            stack.extend(ch)
+        return children, depth, frozenset(edges), frozenset(leaves)
+
+    # Sorted children of each inner node, reachable or not; a parent entry
+    # for the root (which `validate_instance` reports) is left out.
+    children = cached_property(lambda self: self._views[0])
+    # Hop distance from the root, for nodes reachable through the parent
+    # map, each parent before its children.
+    depth = cached_property(lambda self: self._views[1])
+    # Normalized tree edges, reachable part only (no root parent link).
+    edges = cached_property(lambda self: self._views[2])
+    leaves = cached_property(lambda self: self._views[3])
 
     @cached_property
     def max_depth(self) -> int:
         return max(self.depth.values())
-
-    @cached_property
-    def leaves(self) -> frozenset[int]:
-        return frozenset(v for v in self.depth if not self.children.get(v))
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Normalized tree edges, reachable part only (no root parent link)."""
-        depth, root = self.depth, self.root
-        return frozenset(
-            norm_edge(c, p) for c, p in self.parent.items() if c in depth and c != root
-        )
 
     def subtree_sizes(self) -> dict[int, int]:
         """Node count of each subtree (the node itself included)."""
@@ -177,7 +165,16 @@ def validate_instance(instance: MulticastInstance) -> list[str]:
         if t.message_id in seen_msgs:
             problems.append(f"duplicate message_id {t.message_id} (tree {t.tree_id})")
         seen_msgs.add(t.message_id)
-        for v in t.nodes:
+        # A clean tree skips the per-link checks. With the root parentless, a
+        # walk that reaches len(parent) + 1 nodes reached every child, and so
+        # every parent; each link is then a tree edge, whose ends are in range.
+        if (t.root not in t.parent and len(t.depth) == len(t.parent) + 1
+                and t.edges <= g.edges and 0 <= t.root < g.node_count):
+            continue
+        nodes = {t.root}
+        for c, p in t.parent.items():
+            nodes.update((c, p))
+        for v in frozenset(nodes):  # the order this list has always had
             if not (0 <= v < g.node_count):
                 problems.append(f"tree {t.tree_id}: node {v} out of range")
         if t.root in t.parent:
@@ -185,11 +182,11 @@ def validate_instance(instance: MulticastInstance) -> list[str]:
         for c, p in t.parent.items():
             if c == p:
                 problems.append(f"tree {t.tree_id}: node {c} is its own parent")
-            elif not g.has_edge(c, p):
+            elif norm_edge(c, p) not in g.edges:
                 problems.append(
                     f"tree {t.tree_id}: edge ({p},{c}) missing from host graph"
                 )
-        unreachable = t.nodes - set(t.depth)
+        unreachable = nodes - set(t.depth)
         if unreachable:
             problems.append(
                 f"tree {t.tree_id}: nodes {sorted(unreachable)} unreachable from "
@@ -312,17 +309,22 @@ _NODE_KEY = re.compile(r"0|-?[1-9][0-9]*")  # str(c) of an int c
 
 
 def instance_from_json(text: str) -> MulticastInstance:
-    """Parse an instance; every number must be an int (not a bool) and every
-    parent key the decimal string `instance_to_json` writes."""
+    """Parse an instance; every number must be an int (not a bool), every
+    parent key the decimal string `instance_to_json` writes, and every key
+    one that `instance_to_json` writes."""
     doc = json.loads(text)
     edges = [tuple(e) for e in doc["edges"]]
     _check_ints("n", doc["n"])
+    if unknown := doc.keys() - {"n", "edges", "trees"}:
+        raise ValueError(f"unknown key {min(unknown)!r}")
     _check_ints("edge endpoint", *(x for e in edges for x in e))
     graph = Graph.build(doc["n"], edges)
     trees = []
     for t in doc["trees"]:
         tid, root, msg, raw = t["id"], t["root"], t.get("msg", t["id"]), t["parent"]
         _check_ints("tree id", tid)
+        if unknown := t.keys() - {"id", "root", "msg", "parent"}:
+            raise ValueError(f"tree {tid}: unknown key {min(unknown)!r}")
         _check_ints(f"tree {tid}: root", root)
         _check_ints(f"tree {tid}: msg", msg)
         _check_ints(f"tree {tid}: parent", *raw.values())

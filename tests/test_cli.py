@@ -303,9 +303,12 @@ def test_bad_instance_exits_one(runner, tmp_path, doc, needle):
          "tree 0: parent must be an integer, not 0.0"),
         (lambda doc: doc["trees"][0].update(parent={"01": 0}),
          "tree 0: parent key '01' is not a decimal node id"),
+        (lambda doc: doc.update(nodes=3), "unknown key 'nodes'"),
+        # not read as absent, which would run the tree as message 0
+        (lambda doc: doc["trees"][0].update(mesg=7), "tree 0: unknown key 'mesg'"),
     ],
     ids=["n-float", "edge-str", "id-bool", "root-str", "msg-str", "parent-float",
-         "parent-key-zero-padded"],
+         "parent-key-zero-padded", "unknown-key", "tree-unknown-key"],
 )
 def test_non_integer_instance_field_exits_one(runner, tmp_path, edit, message):
     doc = json.loads(instance_to_json(shared_edge_instance()))
@@ -481,10 +484,15 @@ def test_bench_prefix_cap_int_null_or_absent_runs(runner, tmp_path):
         ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
                      "schedulers": ["greedy"], "prefix_cap": 1.5}]},
          "cell 0: prefix_cap must be an integer or null"),
+        # a misspelt prefix_cap is refused, not run uncapped
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"], "prefixcap": 1}]},
+         "cell 0: unknown key 'prefixcap'"),
     ],
     ids=["missing-seeds", "cells-dict", "suite-list", "depth-ge-n", "congestion-0",
          "schedulers-string", "scheduler-unknown", "seeds-string", "seeds-bool",
-         "n-float", "congestion-bool", "depth-float", "prefix-cap-bool", "prefix-cap-float"],
+         "n-float", "congestion-bool", "depth-float", "prefix-cap-bool", "prefix-cap-float",
+         "unknown-key"],
 )
 def test_bench_malformed_suite_exits_one(runner, tmp_path, suite, needle):
     suite_file = tmp_path / "suite.json"

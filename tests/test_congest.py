@@ -484,6 +484,39 @@ small_instances = st.one_of(
 )
 
 
+def reference_level_range_slices(tree, band):
+    """`_level_range_slices` as it was: the nodes grouped by range, then per
+    range a children map and a walk down from each slice root."""
+    ranges = defaultdict(dict)
+    for c, d in tree.depth.items():
+        if c != tree.root:
+            ranges[(d - 1) // band][c] = tree.parent[c]
+    for r in sorted(ranges):
+        parent = ranges[r]
+        kids = defaultdict(list)
+        for c, p in parent.items():
+            kids[p].append(c)
+        roots = [p for p in kids if p not in parent]
+        for root in roots:
+            comp = {}
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for c in kids.get(v, ()):
+                    comp[c] = v
+                    stack.append(c)
+            yield r, root, comp
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=small_instances, band=st.integers(1, 6))
+def test_level_range_slices_match_reference(inst, band):
+    """Same slices, with the same roots in the same order (slice order numbers
+    the trees of each frame)."""
+    for t in inst.trees:
+        assert list(_level_range_slices(t, band)) == list(reference_level_range_slices(t, band))
+
+
 def assert_matches_reference(inst, epsilon, seed):
     want, want_rounds = reference_depths_known(inst, epsilon, seed)
     got, rounds = distributed_multicast(inst, epsilon, seed, depths_known=True)

@@ -186,7 +186,7 @@ def test_decomposition_json():
 def test_root_with_parent_decomposes_its_edge_once():
     # the root's parent entry (which validate_instance reports) is ignored
     t = MulticastTree(0, 0, {0: 1, 1: 0}, 0)
-    assert t.children == {0: [1], 1: []}
+    assert t.children == {0: [1]}  # no 1 -> 0 link; leaves have no entry
     for dec in (
         heavy_path_decomposition(t),
         rank_decomposition(t)[0],

@@ -28,6 +28,8 @@ from mcastsched import (
     frame_schedule_from_decomps,
     gen_layered_instance,
     gen_random_instance,
+    instance_from_json,
+    instance_to_json,
     log2_ceil,
     run_scheduler,
     schedule_to_json,
@@ -121,9 +123,30 @@ def test_golden_schedules(golden, name):
     assert compute(name) == golden[name]
 
 
+# The other benchmark workloads, built and loaded as perfbench/bench.py does,
+# with the seeds and schedulers whose output is checked against the reference.
+BENCHMARK_RUNS = {
+    "lb43": (lambda: build_lowerbound(4, 3).instance, (0, 1),
+             ("greedy", "random_delay", "frames")),
+    "random-c50": (lambda: gen_random_instance(8000, 200, 10, 0), (0,),
+                   ("greedy", "random_delay", "frames", "deterministic", "congest")),
+}
+
+
+def benchmark_fingerprint(instance, scheduler: str, seed: int) -> dict:
+    """The schedule perfbench/bench.py makes; deterministic at its budget
+    ceil(1.25 * ell)."""
+    budget = math.ceil(1.25 * log2_ceil(instance.graph.node_count))
+    return fingerprint(
+        run_scheduler(instance, scheduler.replace("_", "-"), seed, budget=budget).schedule
+    )
+
+
 def test_golden_matches_benchmark_reference(golden):
-    """The congest-random workload is the corpus's random instance."""
-    reference = json.loads(REFERENCE.read_text())["congest-random"]
+    """The congest-random workload is the corpus's random instance; lb43 and
+    random-c50 are scheduled here."""
+    references = json.loads(REFERENCE.read_text())
+    reference = references["congest-random"]
     ours = golden["random-2000-60-12-0"]
     for seed in SEEDS:
         ref = reference[str(seed)]
@@ -131,6 +154,19 @@ def test_golden_matches_benchmark_reference(golden):
             mine = ours[scheduler] if scheduler == "greedy" else ours[str(seed)][scheduler]
             assert mine["sha256"] == ref["sha256"][scheduler], (seed, scheduler)
             assert mine["length"] == ref["length"][scheduler], (seed, scheduler)
+    for workload, (build, seeds, schedulers) in BENCHMARK_RUNS.items():
+        instance = instance_from_json(instance_to_json(build()))
+        greedy = benchmark_fingerprint(instance, "greedy", 0)  # greedy takes no seed
+        for seed in seeds:
+            ref = references[workload][str(seed)]
+            for scheduler in schedulers:
+                mine = (
+                    greedy if scheduler == "greedy"
+                    else benchmark_fingerprint(instance, scheduler, seed)
+                )
+                key = (workload, seed, scheduler)
+                assert mine["sha256"] == ref["sha256"][scheduler], key
+                assert mine["length"] == ref["length"][scheduler], key
 
 
 def leaves(value, key=()):

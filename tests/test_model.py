@@ -76,7 +76,7 @@ def test_tree_depth_and_leaves():
 
 def test_root_with_parent_is_not_its_parents_child():
     t = MulticastTree(0, 0, {0: 2, 1: 0, 2: 1}, 0)  # cycle 0 -> 1 -> 2 -> 0
-    assert t.children == {0: [1], 1: [2], 2: []}
+    assert t.children == {0: [1], 1: [2]}  # no 2 -> 0 link; leaves have no entry
     assert t.depth == {0: 0, 1: 1, 2: 2}
     assert t.subtree_sizes() == {0: 3, 1: 2, 2: 1}
     assert any("root 0 has a parent" in p for p in validate_instance(
@@ -133,6 +133,32 @@ def test_validate_catches_duplicate_message_ids():
         g, [MulticastTree(0, 0, {1: 0}, 7), MulticastTree(1, 1, {2: 1}, 7)]
     )
     assert any("message" in p for p in validate_instance(inst))
+
+
+def test_validate_problem_list_is_pinned():
+    """Every defect kind at once: the full list, strings and order."""
+    g = Graph.build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    trees = [
+        MulticastTree(0, 0, {1: 0, 2: 1}, 0),
+        MulticastTree(0, 0, {1: 0}, 0),  # duplicate tree id and message id
+        MulticastTree(1, 0, {1: 0, 7: 1}, 1),  # node 7 is out of range
+        MulticastTree(2, 1, {1: 0, 2: 1}, 2),  # the root has a parent
+        MulticastTree(3, 0, {1: 0, 2: 2}, 3),  # a self-parent
+        MulticastTree(4, 0, {1: 0, 3: 1}, 4),  # (1,3) is no host edge
+        MulticastTree(5, 0, {1: 0, 3: 4, 4: 3}, 5),  # an unreachable cycle
+    ]
+    assert validate_instance(MulticastInstance.build(g, trees)) == [
+        "duplicate tree_id 0",
+        "duplicate message_id 0 (tree 0)",
+        "tree 1: node 7 out of range",
+        "tree 1: edge (1,7) missing from host graph",
+        "tree 2: root 1 has a parent",
+        "tree 2: nodes [0] unreachable from root 1 (cycle or disconnection)",
+        "tree 3: node 2 is its own parent",
+        "tree 3: nodes [2] unreachable from root 0 (cycle or disconnection)",
+        "tree 4: edge (1,3) missing from host graph",
+        "tree 5: nodes [3, 4] unreachable from root 0 (cycle or disconnection)",
+    ]
 
 
 # --- generators ------------------------------------------------------------
@@ -222,3 +248,115 @@ def test_metrics_computed_once_per_instance(name):
     first = compute_metrics(inst)
     assert compute_metrics(inst) is first is inst.metrics
     assert first == reference_metrics(inst)
+
+
+# --- the tree views against their former definitions ------------------------
+# Each view used to be its own cached walk, `children` also listed every leaf
+# with an empty list, and `validate_instance` checked every link with
+# `Graph.has_edge`. Those bodies are kept verbatim as the reference.
+
+def reference_views(t: MulticastTree):
+    """(children, depth, edges, leaves, max_depth) of the former definitions."""
+    ch: dict[int, list[int]] = {t.root: []}
+    for c, p in t.parent.items():
+        ch.setdefault(p, [])
+        ch.setdefault(c, [])
+        ch[p].append(c)
+    if t.root in t.parent:
+        ch[t.parent[t.root]].remove(t.root)
+    for v in ch:
+        ch[v].sort()
+    d = {t.root: 0}
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        for c in ch.get(v, ()):
+            if c not in d:
+                d[c] = d[v] + 1
+                stack.append(c)
+    leaves = frozenset(v for v in d if not ch.get(v))
+    edges = frozenset(
+        norm_edge(c, p) for c, p in t.parent.items() if c in d and c != t.root
+    )
+    return ch, d, edges, leaves, max(d.values())
+
+
+def reference_nodes(t: MulticastTree) -> frozenset[int]:
+    out = {t.root}
+    for c, p in t.parent.items():
+        out.add(c)
+        out.add(p)
+    return frozenset(out)
+
+
+def reference_validate(instance: MulticastInstance) -> list[str]:
+    problems: list[str] = []
+    g = instance.graph
+    seen_ids: set[int] = set()
+    seen_msgs: set[int] = set()
+    for t in instance.trees:
+        if t.tree_id in seen_ids:
+            problems.append(f"duplicate tree_id {t.tree_id}")
+        seen_ids.add(t.tree_id)
+        if t.message_id in seen_msgs:
+            problems.append(f"duplicate message_id {t.message_id} (tree {t.tree_id})")
+        seen_msgs.add(t.message_id)
+        for v in reference_nodes(t):
+            if not (0 <= v < g.node_count):
+                problems.append(f"tree {t.tree_id}: node {v} out of range")
+        if t.root in t.parent:
+            problems.append(f"tree {t.tree_id}: root {t.root} has a parent")
+        for c, p in t.parent.items():
+            if c == p:
+                problems.append(f"tree {t.tree_id}: node {c} is its own parent")
+            elif not g.has_edge(c, p):
+                problems.append(
+                    f"tree {t.tree_id}: edge ({p},{c}) missing from host graph"
+                )
+        unreachable = reference_nodes(t) - set(reference_views(t)[1])
+        if unreachable:
+            problems.append(
+                f"tree {t.tree_id}: nodes {sorted(unreachable)} unreachable from "
+                f"root {t.root} (cycle or disconnection)"
+            )
+    return problems
+
+
+@st.composite
+def parent_maps(draw, n: int):
+    """(root, parent map): a random tree on some of 0..n-1, in random map
+    order, with extra links that may make cycles, self-parents, a parent for
+    the root, disconnected parts and out-of-range nodes; sometimes a random
+    root instead."""
+    nodes = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    parent = {v: nodes[draw(st.integers(0, i - 1))] for i, v in enumerate(nodes) if i}
+    node = st.integers(-2, n + 1)
+    parent.update(draw(st.dictionaries(node, node, max_size=3)))
+    root = draw(st.one_of(st.just(nodes[0]), node))
+    return root, dict(draw(st.permutations(list(parent.items()))))
+
+
+@st.composite
+def instances_with_defects(draw):
+    n = draw(st.integers(1, 9))
+    trees = [
+        MulticastTree(draw(st.integers(0, 3)), root, parent, draw(st.integers(0, 3)))
+        for root, parent in draw(st.lists(parent_maps(n), min_size=1, max_size=3))
+    ]
+    links = sorted({
+        norm_edge(c, p) for t in trees for c, p in t.parent.items()
+        if c != p and 0 <= c < n and 0 <= p < n
+    })
+    dropped = draw(st.sets(st.sampled_from(links))) if links else set()
+    return MulticastInstance.build(Graph.build(n, set(links) - dropped), trees)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_with_defects())
+def test_tree_views_and_validation_match_former_definitions(inst):
+    for t in inst.trees:
+        children, depth, edges, leaves, max_depth = reference_views(t)
+        assert list(t.depth.items()) == list(depth.items())
+        assert t.children == {v: ch for v, ch in children.items() if ch}
+        assert (t.edges, t.leaves, t.max_depth) == (edges, leaves, max_depth)
+    assert validate_instance(inst) == reference_validate(inst)
