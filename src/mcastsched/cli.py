@@ -16,6 +16,7 @@ import time
 import click
 
 from .congest import (
+    CongestNetwork,
     distributed_multicast,
     distributed_rank_decomposition,
     message_size_audit,
@@ -35,12 +36,14 @@ from .lowerbound import (
     predicted_edge_count,
 )
 from .model import (
+    REQUIRED,
     compute_metrics,
     gen_layered_instance,
     gen_random_instance,
     instance_from_json,
     instance_to_json,
     log2_ceil,
+    read_object,
     validate_instance,
 )
 from .schedule import schedule_from_json, schedule_to_json, simulate
@@ -51,7 +54,12 @@ from .schedulers import (
     run_scheduler,
 )
 
-BENCH_CELL_KEYS = {"n", "congestion", "depth", "prefix_cap", "seeds", "schedulers"}
+BENCH_SUITE = {"cells": ("a list", REQUIRED)}
+BENCH_CELL = {  # in gen_layered_instance's order, then the sweep's
+    "n": ("an integer", REQUIRED), "congestion": ("an integer", REQUIRED),
+    "depth": ("an integer", REQUIRED), "prefix_cap": ("an integer or null", None),
+    "seeds": ("a list of integers", REQUIRED), "schedulers": ("a list", REQUIRED),
+}
 BENCH_COLUMNS = [
     "n", "congestion", "dilation", "scheduler", "seed", "length", "frame_count",
     "max_frame_congestion", "wall_time_s", "error",
@@ -69,7 +77,7 @@ def _fail(message: str) -> None:
 
 
 # What a wrong-shaped or too deeply nested JSON document raises while it is read.
-_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError)
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, RecursionError)
 
 
 def _load_instance(path: str):
@@ -279,8 +287,7 @@ def cmd_decompose(instance_file, tree_id, kind, ell):
 def cmd_congest_sim(instance_file, seed, epsilon, bit_factor, multicast, depths_known):
     """Run the distributed decomposition (and optionally multicast) in CONGEST."""
     instance = _load_instance(instance_file)
-    n = instance.graph.node_count
-    budget = bit_factor * log2_ceil(n)
+    budget = CongestNetwork(instance.graph, bit_factor).bits_per_edge_per_round
     try:
         dist = distributed_rank_decomposition(
             instance, epsilon, seed, bit_factor
@@ -417,27 +424,15 @@ def cmd_bench(suite_file, output):
     writer.writeheader()
     try:
         with open(suite_file) as fh:
-            cells = json.load(fh)["cells"]
-        for i, cell in enumerate(cells):
-            seeds, names = cell["seeds"], cell["schedulers"]
-            if unknown := cell.keys() - BENCH_CELL_KEYS:
-                raise ValueError(f"cell {i}: unknown key {min(unknown)!r}")
-            if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
-                raise ValueError(f"cell {i}: seeds must be a list of integers")
-            if not isinstance(names, list) or any(s not in SCHEDULERS for s in names):
+            (raw_cells,) = read_object(json.load(fh), "", BENCH_SUITE)
+        cells = [read_object(cell, f"cell {i}: ", BENCH_CELL) for i, cell in enumerate(raw_cells)]
+        for i, (*_, names) in enumerate(cells):
+            if any(s not in SCHEDULERS for s in names):
                 raise ValueError(f"cell {i}: schedulers must be a list of {', '.join(SCHEDULERS)}")
-            for key in ("n", "congestion", "depth"):
-                if type(cell[key]) is not int:
-                    raise ValueError(f"cell {i}: {key} must be an integer")
-            if type(cell.get("prefix_cap")) not in (int, type(None)):
-                raise ValueError(f"cell {i}: prefix_cap must be an integer or null")
-        for cell in cells:
-            for seed in cell["seeds"]:
-                instance = gen_layered_instance(
-                    cell["n"], cell["congestion"], cell["depth"], seed,
-                    cell.get("prefix_cap"),
-                )
-                for scheduler in cell["schedulers"]:
+        for n, congestion, depth, prefix_cap, seeds, names in cells:
+            for seed in seeds:
+                instance = gen_layered_instance(n, congestion, depth, seed, prefix_cap)
+                for scheduler in names:
                     writer.writerow(_bench_row(instance, scheduler, seed))
     except _READ_ERRORS as exc:
         _fail(f"invalid suite {suite_file}: {type(exc).__name__}: {exc}")

@@ -183,7 +183,7 @@ class _Params:
     budget: int
 
 
-def _make_params(instance, chunk_length, bit_factor) -> _Params:
+def _make_params(instance, chunk_length, budget) -> _Params:
     metrics = compute_metrics(instance)
     n = instance.graph.node_count
     c = max(1, metrics.congestion)
@@ -195,7 +195,7 @@ def _make_params(instance, chunk_length, bit_factor) -> _Params:
         rank_bits=_width(max(1, math.floor(math.log2(max(2, n))))),
         idx_bits=_width(c - 1),
         counter_bits=_width(max(1, chunk_length - 1)),
-        budget=bit_factor * log2_ceil(n),
+        budget=budget,
     )
     # rank: (rank, idx); preferred: (idx, one bit); refine: (idx, counter)
     width, phase = max(
@@ -472,7 +472,7 @@ def _assemble_chunks(tree, records) -> PathDecomposition:
             seq.append(cur)
             cur = records[cur].preferred.get(tid)
         chunks.append(tuple(seq))
-    return PathDecomposition(tuple(chunks), edge_to_path, level, "short-refined")
+    return PathDecomposition(tuple(chunks), edge_to_path, level)
 
 
 def distributed_rank_decomposition(
@@ -488,9 +488,9 @@ def distributed_rank_decomposition(
     stays in its record."""
     n = instance.graph.node_count
     chunk_length = _polylog(n, 1, epsilon)
-    params = _make_params(instance, chunk_length, bit_factor)
-    offsets = tree_offsets(instance, seed, params.congestion)
     network = CongestNetwork(instance.graph, bit_factor)
+    params = _make_params(instance, chunk_length, network.bits_per_edge_per_round)
+    offsets = tree_offsets(instance, seed, params.congestion)
     if max_rounds is None:
         max_rounds = 256 + 64 * (params.congestion + params.dilation)
 

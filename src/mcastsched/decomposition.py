@@ -20,7 +20,6 @@ class PathDecomposition:
     paths: tuple[tuple[int, ...], ...]
     edge_to_path: dict[tuple[int, int], int]
     level: dict[int, int]
-    kind: str  # heavy | rank | short-refined
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class RankMap:
 
 
 def _decompose(
-    tree: MulticastTree, weight: dict[int, int], ell: int | None, kind: str
+    tree: MulticastTree, weight: dict[int, int], ell: int | None
 ) -> PathDecomposition:
     """Preferred-chain decomposition in one top-down walk over tree.depth,
     which lists every parent before its children.
@@ -75,13 +74,13 @@ def _decompose(
             prev, cur = cur, preferred.get(cur)
         paths.append(tuple(chunk))
         level[pid] = lvl
-    return PathDecomposition(tuple(paths), edge_to_path, level, kind)
+    return PathDecomposition(tuple(paths), edge_to_path, level)
 
 
 def heavy_path_decomposition(tree: MulticastTree) -> PathDecomposition:
     """Each non-leaf's heavy edge goes to the child with the largest subtree,
     ties broken toward the smallest child id."""
-    return _decompose(tree, tree.subtree_sizes(), None, "heavy")
+    return _decompose(tree, tree.subtree_sizes(), None)
 
 
 def short_decomposition(tree: MulticastTree, ell: int) -> PathDecomposition:
@@ -89,7 +88,7 @@ def short_decomposition(tree: MulticastTree, ell: int) -> PathDecomposition:
     of at most ell edges, built in one walk."""
     if ell < 1:
         raise ValueError("chunk length must be >= 1")
-    return _decompose(tree, tree.subtree_sizes(), ell, "short-refined")
+    return _decompose(tree, tree.subtree_sizes(), ell)
 
 
 def compute_ranks(tree: MulticastTree) -> RankMap:
@@ -109,7 +108,7 @@ def compute_ranks(tree: MulticastTree) -> RankMap:
 def rank_decomposition(tree: MulticastTree) -> tuple[PathDecomposition, RankMap]:
     """Preferred edge goes to a child of highest rank, ties toward smallest id."""
     ranks = compute_ranks(tree)
-    return _decompose(tree, ranks.rank, None, "rank"), ranks
+    return _decompose(tree, ranks.rank, None), ranks
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ import json
 import math
 import random
 import re
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain, filterfalse
+from typing import Collection, Iterable, Mapping
 
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -298,41 +300,73 @@ def instance_to_json(instance: MulticastInstance) -> str:
     return json.dumps(doc, sort_keys=True, indent=None, separators=(",", ":"))
 
 
-def _check_ints(field: str, *values) -> None:
-    """Raise a ValueError naming `field` unless every value is an int (not a bool)."""
-    for x in values:
-        if type(x) is not int:
-            raise ValueError(f"{field} must be an integer, not {x!r}")
+REQUIRED = object()  # the default of a key that must be present
+# What each kind admits, by the name messages give it; a bool is never an int.
+KINDS = {
+    "an integer": lambda x: type(x) is int,
+    "an integer or null": lambda x: x is None or type(x) is int,
+    "a list": lambda x: type(x) is list,
+    "a list of integers": lambda x: type(x) is list and {*map(type, x)} <= {int},
+    "an object": lambda x: type(x) is dict,
+}
 
 
+def check_kind(what: str, kind: str, values: Collection) -> None:
+    """Raise a TypeError naming `what` and the first of `values` not of `kind`."""
+    if kind == "an integer" and {*map(type, values)} <= {int}:  # bulk, no call per value
+        return
+    for x in filterfalse(KINDS[kind], values):
+        raise TypeError(f"{what} must be {kind}, not {reprlib.repr(x)}")
+
+
+def read_object(doc, where: str, fields: dict) -> list:
+    """Check one JSON object against `fields`, which maps each allowed key to
+    its (kind, default), and return the values in table order. An unknown key
+    raises ValueError, a wrong kind (of `doc` too) TypeError, and a missing
+    key KeyError if its default is REQUIRED; `where`, the object's path such
+    as "tree 3: ", starts every message but a KeyError's."""
+    check_kind(where.rstrip(": ") or "document", "an object", [doc])
+    if unknown := doc.keys() - fields:
+        raise ValueError(f"{where}unknown key {min(unknown)!r}")
+    values = []
+    for key, (kind, default) in fields.items():
+        if key in doc:
+            check_kind(where + key, kind, [doc[key]])
+        elif default is REQUIRED:
+            raise KeyError(key)
+        values.append(doc.get(key, default))
+    return values
+
+
+_INSTANCE = {"n": ("an integer", REQUIRED), "edges": ("a list", REQUIRED),
+             "trees": ("a list", REQUIRED)}
+_TREE = {"id": ("an integer", REQUIRED), "root": ("an integer", REQUIRED),
+         "msg": ("an integer", None), "parent": ("an object", REQUIRED)}
 _NODE_KEY = re.compile(r"0|-?[1-9][0-9]*")  # str(c) of an int c
 
 
 def instance_from_json(text: str) -> MulticastInstance:
-    """Parse an instance; every number must be an int (not a bool), every
-    parent key the decimal string `instance_to_json` writes, and every key
-    one that `instance_to_json` writes."""
-    doc = json.loads(text)
-    edges = [tuple(e) for e in doc["edges"]]
-    _check_ints("n", doc["n"])
-    if unknown := doc.keys() - {"n", "edges", "trees"}:
-        raise ValueError(f"unknown key {min(unknown)!r}")
-    _check_ints("edge endpoint", *(x for e in edges for x in e))
-    graph = Graph.build(doc["n"], edges)
+    """Parse an instance: `read_object` reads the document and each tree (a
+    tree's message defaults to its id), and bulk passes check that each edge
+    is a pair of int nodes and each parent map maps decimal keys to ints."""
+    n, edges, raw_trees = read_object(json.loads(text), "", _INSTANCE)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, not {n}")
+    for bad in (e for e in edges if type(e) is not list or len(e) != 2):
+        raise ValueError(f"edge {reprlib.repr(bad)} is not a pair of nodes")
+    check_kind("edge endpoint", "an integer", list(chain.from_iterable(edges)))
+    graph = Graph.build(n, edges)
+    check_kind("tree", "an object", raw_trees)
+    ids = [t["id"] for t in raw_trees]  # a tree's id names it in its messages
+    check_kind("tree id", "an integer", ids)
     trees = []
-    for t in doc["trees"]:
-        tid, root, msg, raw = t["id"], t["root"], t.get("msg", t["id"]), t["parent"]
-        _check_ints("tree id", tid)
-        if unknown := t.keys() - {"id", "root", "msg", "parent"}:
-            raise ValueError(f"tree {tid}: unknown key {min(unknown)!r}")
-        _check_ints(f"tree {tid}: root", root)
-        _check_ints(f"tree {tid}: msg", msg)
-        _check_ints(f"tree {tid}: parent", *raw.values())
-        if not all(map(_NODE_KEY.fullmatch, raw)):
-            bad = next(c for c in raw if not _NODE_KEY.fullmatch(c))
+    for tid, t in zip(ids, raw_trees):
+        _, root, msg, raw = read_object(t, f"tree {tid}: ", _TREE)
+        check_kind(f"tree {tid}: parent", "an integer", raw.values())
+        for bad in filterfalse(_NODE_KEY.fullmatch, raw):
             raise ValueError(f"tree {tid}: parent key {bad!r} is not a decimal node id")
         parent = dict(zip(map(int, raw), raw.values()))
-        trees.append(MulticastTree(tid, root, parent, msg))
+        trees.append(MulticastTree(tid, root, parent, tid if msg is None else msg))
     return MulticastInstance.build(graph, trees)
 
 

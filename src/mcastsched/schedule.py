@@ -7,11 +7,11 @@ import gc
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter, le
 from typing import NamedTuple
 
-from .model import MulticastInstance, norm_edge
+from .model import REQUIRED, MulticastInstance, norm_edge, read_object
 
 _by_round_u_v = itemgetter(0, 1, 2)
 
@@ -197,15 +197,21 @@ def schedule_to_json(schedule: Schedule) -> str:
     return f'{{"length":{schedule.declared_length},"sends":[{body}]}}'
 
 
+_SCHEDULE = {"length": ("an integer", REQUIRED), "sends": ("a list", REQUIRED)}
+_SEND = {key: ("an integer", REQUIRED) for key in ("round", "from", "to", "msg")}
+
+
 def schedule_from_json(text: str) -> Schedule:
-    """Parse a schedule; every field must be an int (not a bool)."""
-    doc = json.loads(text)
-    if type(doc["length"]) is not int:
-        raise ValueError(f"length must be an integer, not {doc['length']!r}")
-    sends = []
-    for s in doc["sends"]:
-        fields = (s["round"], s["from"], s["to"], s["msg"])
-        if any(type(x) is not int for x in fields):
-            raise ValueError(f"send {s}: round, from, to and msg must be integers")
-        sends.append(Send(*fields))
-    return Schedule(tuple(sorted(sends, key=_by_round_u_v)), doc["length"])
+    """Parse a schedule. `read_object` reads the document; one bulk pass
+    checks every send as `read_object` would, and on a refusal `read_object`
+    reads the sends in order, so that it names the first one refused."""
+    length, raw = read_object(json.loads(text), "", _SCHEDULE)
+    try:
+        rows = list(map(itemgetter(*_SEND), raw))
+        ok = {*map(len, raw)} <= {4} and {*map(type, chain.from_iterable(rows))} <= {int}
+    except (KeyError, TypeError):  # a send that is no object or lacks a key
+        ok = False
+    if not ok:
+        for i, s in enumerate(raw):
+            read_object(s, f"send {i}: ", _SEND)
+    return Schedule(tuple(sorted(map(Send._make, rows), key=_by_round_u_v)), length)

@@ -306,9 +306,13 @@ def test_bad_instance_exits_one(runner, tmp_path, doc, needle):
         (lambda doc: doc.update(nodes=3), "unknown key 'nodes'"),
         # not read as absent, which would run the tree as message 0
         (lambda doc: doc["trees"][0].update(mesg=7), "tree 0: unknown key 'mesg'"),
+        (lambda doc: doc.update(n=-3), "n must be >= 1, not -3"),
+        (lambda doc: doc.update(n=0), "n must be >= 1, not 0"),
+        (lambda doc: doc.update(edges=[[0, 1, 2]]), "edge [0, 1, 2] is not a pair of nodes"),
     ],
     ids=["n-float", "edge-str", "id-bool", "root-str", "msg-str", "parent-float",
-         "parent-key-zero-padded", "unknown-key", "tree-unknown-key"],
+         "parent-key-zero-padded", "unknown-key", "tree-unknown-key", "n-negative", "n-zero",
+         "edge-triple"],
 )
 def test_non_integer_instance_field_exits_one(runner, tmp_path, edit, message):
     doc = json.loads(instance_to_json(shared_edge_instance()))
@@ -334,19 +338,17 @@ def test_sends_as_string_exits_one(runner, tmp_path, command):
 @pytest.mark.parametrize(
     "key, value",
     [("round", "1"), ("from", "a"), ("to", None), ("msg", [1]), ("round", 1.5),
-     ("round", True), ("length", "1")],
+     ("round", True), ("length", "1"), ("lenght", 3), ("mesg", 1)],
     ids=["round-str", "from-str", "to-null", "msg-list", "round-float",
-         "round-bool", "length-str"],
+         "round-bool", "length-str", "unknown-key", "send-unknown-key"],
 )
 def test_non_integer_schedule_field_exits_one(runner, tmp_path, command, key, value):
     inst_file = tmp_path / "shared_edge.json"
     write_shared_edge(inst_file)
     doc = {"length": 2, "sends": [{"round": 1, "from": 0, "to": 1, "msg": 0},
                                   {"round": 2, "from": 0, "to": 1, "msg": 1}]}
-    if key == "length":
-        doc["length"] = value
-    else:
-        doc["sends"][1][key] = value
+    top_level = key in ("length", "lenght")  # a misspelt key is refused, not read as absent
+    (doc if top_level else doc["sends"][1])[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     res = runner.invoke(main, [command, str(inst_file), str(bad)])
@@ -488,11 +490,12 @@ def test_bench_prefix_cap_int_null_or_absent_runs(runner, tmp_path):
         ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
                      "schedulers": ["greedy"], "prefixcap": 1}]},
          "cell 0: unknown key 'prefixcap'"),
+        ({"cells": [], "cellz": 1}, "unknown key 'cellz'"),
     ],
     ids=["missing-seeds", "cells-dict", "suite-list", "depth-ge-n", "congestion-0",
          "schedulers-string", "scheduler-unknown", "seeds-string", "seeds-bool",
          "n-float", "congestion-bool", "depth-float", "prefix-cap-bool", "prefix-cap-float",
-         "unknown-key"],
+         "unknown-key", "suite-unknown-key"],
 )
 def test_bench_malformed_suite_exits_one(runner, tmp_path, suite, needle):
     suite_file = tmp_path / "suite.json"
@@ -500,6 +503,55 @@ def test_bench_malformed_suite_exits_one(runner, tmp_path, suite, needle):
     res = runner.invoke(main, ["bench", "--suite", str(suite_file)])
     _assert_clean_error(res, f"invalid suite {suite_file}", needle)
     assert len(res.output.splitlines()) == 1  # the error line, no partial CSV
+
+
+GOOD_FILES = {
+    "instance": json.loads(instance_to_json(shared_edge_instance())),
+    "schedule": {"length": 2, "sends": [{"round": 1, "from": 0, "to": 1, "msg": 0},
+                                        {"round": 2, "from": 0, "to": 1, "msg": 1}]},
+    "suite": {"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                         "schedulers": ["greedy"]}]},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, edit, needle",
+    [
+        ("instance", lambda doc: doc["trees"][1].update(nodes=3), "tree 1: unknown key 'nodes'"),
+        ("instance", lambda doc: doc["trees"][1].update(root=None),
+         "tree 1: root must be an integer, not None"),
+        ("instance", lambda doc: doc["trees"][1].pop("parent"), ": 'parent'"),
+        ("schedule", lambda doc: doc["sends"][0].update(rnd=1), "send 0: unknown key 'rnd'"),
+        ("schedule", lambda doc: doc["sends"][0].update(to="1"),
+         "send 0: to must be an integer, not '1'"),
+        ("schedule", lambda doc: doc.pop("length"), ": 'length'"),
+        ("suite", lambda doc: doc["cells"][0].update(seed=[1]), "cell 0: unknown key 'seed'"),
+        ("suite", lambda doc: doc.update(cells="x"), "cells must be a list, not 'x'"),
+        ("suite", lambda doc: doc["cells"][0].pop("n"), "KeyError: 'n'"),
+    ],
+    ids=["instance-unknown-key", "instance-wrong-type", "instance-missing-key",
+         "schedule-unknown-key", "schedule-wrong-type", "schedule-missing-key",
+         "suite-unknown-key", "suite-wrong-type", "suite-missing-key"],
+)
+def test_malformed_file_exits_one_without_output(runner, tmp_path, kind, edit, needle):
+    """Each file kind refuses an unknown key, a value of the wrong type and a
+    missing key with one error line, and writes no output file. A schedule
+    is read by `validate`, which writes no file."""
+    doc = json.loads(json.dumps(GOOD_FILES[kind]))
+    edit(doc)
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(json.dumps(doc))
+    inst_file = tmp_path / "inst.json"
+    write_shared_edge(inst_file)
+    args = {
+        "instance": ["schedule", str(bad), "--scheduler", "greedy", "-o", str(out)],
+        "schedule": ["validate", str(inst_file), str(bad)],
+        "suite": ["bench", "--suite", str(bad), "-o", str(out)],
+    }[kind]
+    res = runner.invoke(main, args)
+    _assert_clean_error(res, needle)
+    assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

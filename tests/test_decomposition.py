@@ -248,12 +248,10 @@ def _levels(paths: list[list[int]]) -> tuple[dict[tuple[int, int], int], dict[in
     return edge_to_path, level
 
 
-def _build(tree: MulticastTree, preferred: dict[int, int], kind: str) -> PathDecomposition:
+def _build(tree: MulticastTree, preferred: dict[int, int]) -> PathDecomposition:
     paths = _chain_paths(tree, preferred)
     edge_to_path, level = _levels(paths)
-    return PathDecomposition(
-        tuple(tuple(p) for p in paths), edge_to_path, level, kind
-    )
+    return PathDecomposition(tuple(tuple(p) for p in paths), edge_to_path, level)
 
 
 def reference_heavy_path_decomposition(tree: MulticastTree) -> PathDecomposition:
@@ -265,7 +263,7 @@ def reference_heavy_path_decomposition(tree: MulticastTree) -> PathDecomposition
         ch = tree.children.get(v)
         if ch:
             preferred[v] = max(ch, key=lambda c: (size[c], -c))
-    return _build(tree, preferred, "heavy")
+    return _build(tree, preferred)
 
 
 def reference_compute_ranks(tree: MulticastTree) -> RankMap:
@@ -296,7 +294,7 @@ def reference_rank_decomposition(tree: MulticastTree) -> tuple[PathDecomposition
         ch = tree.children.get(v)
         if ch:
             preferred[v] = max(ch, key=lambda c: (ranks.rank[c], -c))
-    return _build(tree, preferred, "rank"), ranks
+    return _build(tree, preferred), ranks
 
 
 def reference_shorten(decomposition: PathDecomposition, ell: int) -> PathDecomposition:
@@ -309,7 +307,7 @@ def reference_shorten(decomposition: PathDecomposition, ell: int) -> PathDecompo
         for i in range(0, length, ell):
             chunks.append(tuple(p[i : i + ell + 1]))
     edge_to_path, level = _levels([list(c) for c in chunks])
-    return PathDecomposition(tuple(chunks), edge_to_path, level, "short-refined")
+    return PathDecomposition(tuple(chunks), edge_to_path, level)
 
 
 def reference_subtree_sizes(tree: MulticastTree) -> dict[int, int]:
@@ -330,7 +328,6 @@ def assert_same(got: PathDecomposition, want: PathDecomposition):
     assert got.paths == want.paths
     assert got.level == want.level
     assert got.edge_to_path == want.edge_to_path
-    assert got.kind == want.kind
 
 
 @settings(max_examples=150, deadline=None)

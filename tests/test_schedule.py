@@ -26,6 +26,8 @@ from mcastsched import (
     gen_layered_instance,
     gen_random_instance,
     greedy_schedule,
+    instance_from_json,
+    instance_to_json,
     knowledge_at,
     norm_edge,
     random_delay_schedule,
@@ -378,7 +380,9 @@ def assert_emits_like_reference(schedule: Schedule):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_emitter_matches_reference_on_corpus(name):
     rng = random.Random(name)
-    for scheduler, schedule in corpus_schedules(CORPUS[name]()).items():
+    instance = CORPUS[name]()
+    assert instance_from_json(instance_to_json(instance)) == instance  # the reader's round trip
+    for scheduler, schedule in corpus_schedules(instance).items():
         assert_emits_like_reference(schedule)
         shuffled = list(schedule.sends)
         rng.shuffle(shuffled)
