@@ -37,6 +37,7 @@ from .lowerbound import (
 )
 from .model import (
     REQUIRED,
+    check_layered_params,
     compute_metrics,
     gen_layered_instance,
     gen_random_instance,
@@ -426,9 +427,10 @@ def cmd_bench(suite_file, output):
         with open(suite_file) as fh:
             (raw_cells,) = read_object(json.load(fh), "", BENCH_SUITE)
         cells = [read_object(cell, f"cell {i}: ", BENCH_CELL) for i, cell in enumerate(raw_cells)]
-        for i, (*_, names) in enumerate(cells):
+        for i, (n, congestion, depth, prefix_cap, _, names) in enumerate(cells):
             if any(s not in SCHEDULERS for s in names):
                 raise ValueError(f"cell {i}: schedulers must be a list of {', '.join(SCHEDULERS)}")
+            check_layered_params(n, congestion, depth, prefix_cap, f"cell {i}: ")
         for n, congestion, depth, prefix_cap, seeds, names in cells:
             for seed in seeds:
                 instance = gen_layered_instance(n, congestion, depth, seed, prefix_cap)

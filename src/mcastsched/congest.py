@@ -454,25 +454,20 @@ def _assemble_chunks(tree, records) -> PathDecomposition:
     the chunk entering a chunk's top node is already built: the new chunk's
     level is that chunk's plus 1 (1 at the root)."""
     tid = tree.tree_id
-    chunks, edge_to_path, level = [], {}, {}
+    chunks, level = [], {}
+    entry = {tree.root: 0}  # node -> level of the chunk that enters it
     for u in tree.depth:
         if u == tree.root or records[u].counter[tid] != 0:
             continue
-        top = tree.parent[u]
-        pid = len(chunks)
-        level[pid] = (
-            1 if top == tree.root
-            else level[edge_to_path[norm_edge(tree.parent[top], top)]] + 1
-        )
-        seq = [top, u]
-        edge_to_path[norm_edge(top, u)] = pid
+        seq = [tree.parent[u], u]
         cur = records[u].preferred.get(tid)
         while cur is not None and records[cur].counter[tid] != 0:
-            edge_to_path[norm_edge(seq[-1], cur)] = pid
             seq.append(cur)
             cur = records[cur].preferred.get(tid)
+        level[len(chunks)] = lvl = entry[seq[0]] + 1
+        entry.update(dict.fromkeys(seq[1:], lvl))
         chunks.append(tuple(seq))
-    return PathDecomposition(tuple(chunks), edge_to_path, level)
+    return PathDecomposition(tuple(chunks), level)
 
 
 def distributed_rank_decomposition(
@@ -552,8 +547,11 @@ def distributed_multicast(
     at seed `seed * 7919 + frame`, from the round where the previous frame
     ended. When C and D are both <= L (ceil(log2(n)^2.25) at the default
     eps), every tree is one slice and every delay is 0, so there is one
-    frame. Without depths_known, the distributed rank decomposition runs
-    first and the schedule is built over its chunks.
+    frame. A clean tree (root parentless, each parent entry reachable) that
+    fits in one range at a place in its frame equal to its id is its own
+    slice: the frame holds the tree itself, parent map and views not copied.
+    Without depths_known, the distributed rank decomposition runs first and
+    the schedule is built over its chunks.
     """
     n = instance.graph.node_count
     if not depths_known:
@@ -568,6 +566,10 @@ def distributed_multicast(
     offsets = tree_offsets(instance, f"{seed}:mc", span)
     by_frame = defaultdict(list)  # frame -> its slices, as trees 0, 1, ...
     for t in instance.trees:
+        if (0 < t.max_depth <= band and len(slices := by_frame[offsets[t.tree_id]]) == t.tree_id
+                and t.root not in t.parent and len(t.depth) == len(t.parent) + 1):
+            slices.append(t)  # a clean one-band tree is its own only slice
+            continue
         for r, root, comp in _level_range_slices(t, band):
             slices = by_frame[offsets[t.tree_id] + r]
             # a slice keeps its tree's message: the driver keys by tree id only

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import MulticastTree, norm_edge
 
@@ -15,11 +16,15 @@ class PathDecomposition:
     Each path is a node sequence, top node first, consecutive nodes
     parent -> child. level maps a path index to 1 + the number of other
     decomposition paths strictly between the path's top node and the root.
+    edge_to_path (normalized edge -> path index) is derived on first read.
     """
 
     paths: tuple[tuple[int, ...], ...]
-    edge_to_path: dict[tuple[int, int], int]
     level: dict[int, int]
+
+    @cached_property
+    def edge_to_path(self) -> dict[tuple[int, int], int]:
+        return {norm_edge(a, b): i for i, p in enumerate(self.paths) for a, b in zip(p, p[1:])}
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,8 @@ def _decompose(
     }
     cut = ell or len(tree.depth)
     paths: list[tuple[int, ...]] = []
-    edge_to_path: dict[tuple[int, int], int] = {}
     level: dict[int, int] = {}
+    entry = {root: 0}  # node -> level of the chunk that enters it (0: none)
     for v in tree.depth:
         if v == root:
             prev, cur, lvl = root, preferred.get(root), 1
@@ -58,9 +63,7 @@ def _decompose(
             continue
         else:
             prev, cur = parent[v], v
-            lvl = 1
-            if prev != root:  # one level below the chunk that enters prev
-                lvl += level[edge_to_path[norm_edge(parent[prev], prev)]]
+            lvl = entry[prev] + 1  # one level below the chunk that enters prev
         if cur is None:
             continue
         pid, chunk = len(paths), [prev]
@@ -70,11 +73,11 @@ def _decompose(
                 level[pid] = lvl
                 pid, lvl, chunk = pid + 1, lvl + 1, [prev]
             chunk.append(cur)
-            edge_to_path[norm_edge(prev, cur)] = pid
+            entry[cur] = lvl
             prev, cur = cur, preferred.get(cur)
         paths.append(tuple(chunk))
         level[pid] = lvl
-    return PathDecomposition(tuple(paths), edge_to_path, level)
+    return PathDecomposition(tuple(paths), level)
 
 
 def heavy_path_decomposition(tree: MulticastTree) -> PathDecomposition:

@@ -242,6 +242,23 @@ def gen_random_instance(
     return instance
 
 
+def check_layered_params(node_count: int, congestion: int, depth: int,
+                         prefix_cap: int | None, where: str = "") -> int:
+    """Refuse what `gen_layered_instance` refuses under every seed, in a ValueError
+    whose message starts with `where`; return the cap on the prefix lengths."""
+    if depth >= node_count:
+        raise ValueError(f"{where}depth must be < node_count")
+    if congestion < 1:
+        raise ValueError(f"{where}congestion must be >= 1")
+    if depth < 0:
+        raise ValueError(f"{where}depth must be >= 0")
+    cap = depth if prefix_cap is None else min(prefix_cap, depth)
+    if congestion > 1 and cap < 1:  # the other trees need a prefix of >= 1 edge
+        name = "depth" if depth < 1 else "prefix_cap"
+        raise ValueError(f"{where}{name} must be >= 1 when congestion > 1")
+    return cap
+
+
 def gen_layered_instance(
     node_count: int,
     congestion: int,
@@ -251,32 +268,17 @@ def gen_layered_instance(
 ) -> MulticastInstance:
     """Instance with congestion and dilation hitting the given targets exactly.
 
-    A spine path of `depth` edges carries one full-depth tree; the remaining
+    A spine path 0, 1, ..., depth carries one full-depth tree; the remaining
     congestion-1 trees follow a random prefix of the spine (length capped by
     prefix_cap), so the first spine edge is shared by all trees.
     """
-    if depth >= node_count:
-        raise ValueError("depth must be < node_count")
-    if congestion < 1:
-        raise ValueError("congestion must be >= 1")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    cap = depth if prefix_cap is None else min(prefix_cap, depth)
-    if congestion > 1 and cap < 1:  # the other trees need a prefix of >= 1 edge
-        name = "depth" if depth < 1 else "prefix_cap"
-        raise ValueError(f"{name} must be >= 1 when congestion > 1")
+    cap = check_layered_params(node_count, congestion, depth, prefix_cap)
     rng = random.Random(seed)
-    spine = list(range(depth + 1))
-    edges = {norm_edge(spine[i], spine[i + 1]) for i in range(depth)}
-    graph = Graph.build(node_count, edges)
-
-    trees = []
-    full = {spine[i + 1]: spine[i] for i in range(depth)}
-    trees.append(MulticastTree(0, spine[0], full, 0))
+    graph = Graph.build(node_count, [(i, i + 1) for i in range(depth)])
+    trees = [MulticastTree(0, 0, {i + 1: i for i in range(depth)}, 0)]
     for tid in range(1, congestion):
         plen = rng.randint(1, cap)
-        parent = {spine[i + 1]: spine[i] for i in range(plen)}
-        trees.append(MulticastTree(tid, spine[0], parent, tid))
+        trees.append(MulticastTree(tid, 0, {i + 1: i for i in range(plen)}, tid))
     instance = MulticastInstance.build(graph, trees)
     assert not validate_instance(instance)
     return instance

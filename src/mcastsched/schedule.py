@@ -201,6 +201,7 @@ _SCHEDULE = {"length": ("an integer", REQUIRED), "sends": ("a list", REQUIRED)}
 _SEND = {key: ("an integer", REQUIRED) for key in ("round", "from", "to", "msg")}
 
 
+@_gc_paused
 def schedule_from_json(text: str) -> Schedule:
     """Parse a schedule. `read_object` reads the document; one bulk pass
     checks every send as `read_object` would, and on a refusal `read_object`

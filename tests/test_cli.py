@@ -6,6 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+import mcastsched.cli as cli_module
 import mcastsched.congest as congest_module
 import mcastsched.schedulers as schedulers_module
 from mcastsched import (
@@ -460,6 +461,11 @@ def test_bench_prefix_cap_int_null_or_absent_runs(runner, tmp_path):
         ([1], "TypeError"),
         ({"cells": [{"n": 8, "congestion": 2, "depth": 8, "seeds": [0],
                      "schedulers": ["greedy"]}]}, "depth must be < node_count"),
+        # the second cell is refused before the first one runs
+        ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
+                     "schedulers": ["greedy"]},
+                    {"n": 8, "congestion": 2, "depth": 8, "seeds": [0],
+                     "schedulers": ["greedy"]}]}, "cell 1: depth must be < node_count"),
         ({"cells": [{"n": 8, "congestion": 0, "depth": 3, "seeds": [0],
                      "schedulers": ["greedy"]}]}, "congestion must be >= 1"),
         ({"cells": [{"n": 8, "congestion": 2, "depth": 3, "seeds": [0],
@@ -492,17 +498,24 @@ def test_bench_prefix_cap_int_null_or_absent_runs(runner, tmp_path):
          "cell 0: unknown key 'prefixcap'"),
         ({"cells": [], "cellz": 1}, "unknown key 'cellz'"),
     ],
-    ids=["missing-seeds", "cells-dict", "suite-list", "depth-ge-n", "congestion-0",
+    ids=["missing-seeds", "cells-dict", "suite-list", "depth-ge-n", "cell-1-depth-ge-n",
+         "congestion-0",
          "schedulers-string", "scheduler-unknown", "seeds-string", "seeds-bool",
          "n-float", "congestion-bool", "depth-float", "prefix-cap-bool", "prefix-cap-float",
          "unknown-key", "suite-unknown-key"],
 )
-def test_bench_malformed_suite_exits_one(runner, tmp_path, suite, needle):
+def test_bench_malformed_suite_exits_one(monkeypatch, runner, tmp_path, suite, needle):
     suite_file = tmp_path / "suite.json"
     suite_file.write_text(json.dumps(suite))
+    runs = []  # every cell is checked before any schedule is computed
+    real = cli_module.run_scheduler
+    monkeypatch.setattr(
+        cli_module, "run_scheduler", lambda *args: runs.append(args) or real(*args)
+    )
     res = runner.invoke(main, ["bench", "--suite", str(suite_file)])
     _assert_clean_error(res, f"invalid suite {suite_file}", needle)
     assert len(res.output.splitlines()) == 1  # the error line, no partial CSV
+    assert runs == []
 
 
 GOOD_FILES = {

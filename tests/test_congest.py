@@ -37,7 +37,7 @@ from mcastsched import (
     verify_short,
 )
 from mcastsched.congest import _level_range_slices
-from test_decomposition import reference_shorten
+from test_decomposition import oracle_edge_to_path, reference_shorten
 
 
 # --- driver ----------------------------------------------------------------
@@ -255,6 +255,7 @@ def test_matches_centralized_multi_tree(seed):
             p: cen.level[i] for i, p in enumerate(cen.paths)
         }
         assert dist.ranks[tree.tree_id].rank == ranks.rank
+        assert got.edge_to_path == oracle_edge_to_path(tree, got)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -570,3 +571,83 @@ def test_multiframe_examples_cover_frames_and_slices():
     shapes = [multiframe_shape(make(), eps, seed) for make, eps, seed in MULTIFRAME_EXAMPLES]
     assert max(frames for frames, _ in shapes) > 1
     assert max(multi for _, multi in shapes) > 0
+
+
+# --- a clean tree that fits in one range is its own slice -------------------
+
+def renumbered(instance, ids):
+    """The same trees, in the same order and with the same messages, under
+    the tree ids `ids`."""
+    trees = [MulticastTree(i, t.root, t.parent, t.message_id) for i, t in zip(ids, instance.trees)]
+    return MulticastInstance.build(instance.graph, trees)
+
+
+def frame_trees(monkeypatch, inst, epsilon=0.25, seed=0):
+    """The trees of each frame that a depths-known run hands the frames driver."""
+    seen = []
+    real = congest_module.frame_schedule_from_decomps
+
+    def spy(sub, *args, **kwargs):
+        seen.append(sub.trees)
+        return real(sub, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(congest_module, "frame_schedule_from_decomps", spy)
+        distributed_multicast(inst, epsilon, seed, depths_known=True)
+    return seen
+
+
+def with_root_only_trees(instance):
+    """The instance with a root-only tree at place 1 (id 1) and one at the
+    end; the trees after place 1 move one id up."""
+    first, *rest = instance.trees
+    trees = [first, MulticastTree(1, 0, {}, 1)]
+    trees += [MulticastTree(t.tree_id + 1, t.root, t.parent, t.tree_id + 1) for t in rest]
+    trees.append(MulticastTree(len(trees), 0, {}, len(trees)))
+    return MulticastInstance.build(instance.graph, trees)
+
+
+def one_frame_instance():
+    return gen_random_instance(200, 12, 10, 3)  # C and D <= L = 97
+
+
+REUSE_EXAMPLES = {  # name -> instance whose frames hold some trees reused, some copied
+    "shuffled": lambda: renumbered(one_frame_instance(), [0, 1, 2, 5, 4, 3, 6, 7, 11, 9, 10, 8]),
+    "gaps": lambda: renumbered(one_frame_instance(), [0, 1, 2, 3, *range(10, 18)]),
+    "root-only": lambda: with_root_only_trees(one_frame_instance()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_EXAMPLES))
+def test_depths_known_reuses_trees_whose_place_is_their_id(monkeypatch, name):
+    """A tree goes to its frame as itself when its place there is its id and
+    is copied as a slice otherwise; both match the slice-every-tree reference.
+    A root-only tree still yields no slice."""
+    inst = REUSE_EXAMPLES[name]()
+    assert_matches_reference(inst, 0.25, 0)
+    (trees,) = frame_trees(monkeypatch, inst)
+    own = {id(t) for t in inst.trees}
+    reused = [t for t in trees if id(t) in own]
+    assert reused and len(reused) < len(trees)
+    assert [t.tree_id for t in trees] == list(range(len(trees)))
+    assert len(trees) == sum(t.max_depth > 0 for t in inst.trees)
+
+
+def test_one_frame_run_schedules_the_instances_own_trees(monkeypatch):
+    inst = one_frame_instance()
+    (trees,) = frame_trees(monkeypatch, inst)
+    assert len(trees) == len(inst.trees)
+    assert all(a is b for a, b in zip(trees, inst.trees))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inst=small_instances,
+    epsilon=st.sampled_from(MULTIFRAME_EPSILONS),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_depths_known_matches_reference_under_any_tree_ids(inst, epsilon, seed, data):
+    k = len(inst.trees)
+    ids = data.draw(st.lists(st.integers(0, 3 * k), min_size=k, max_size=k, unique=True))
+    assert_matches_reference(renumbered(inst, ids), epsilon, seed)

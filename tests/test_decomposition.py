@@ -11,13 +11,16 @@ from mcastsched import (
     RankMap,
     compute_ranks,
     decomposition_to_json,
+    distributed_rank_decomposition,
     heavy_path_decomposition,
+    log2_ceil,
     norm_edge,
     rank_decomposition,
     short_decomposition,
     verify_short,
 )
 from conftest import random_tree
+from test_golden import CORPUS
 
 
 # --- oracles ---------------------------------------------------------------
@@ -33,6 +36,19 @@ def oracle_walk_paths(tree, decomposition):
             v = tree.parent[v]
         worst = max(worst, len(met))
     return worst
+
+
+def oracle_edge_to_path(tree, decomposition):
+    """The edge map the decompositions stored before it was derived on read:
+    each tree edge, normalized, to the one path that steps from its parent
+    end to its child end."""
+    step = {}
+    for i, p in enumerate(decomposition.paths):
+        for a, b in zip(p, p[1:]):
+            assert (a, b) not in step, (a, b)
+            step[a, b] = i
+    return {norm_edge(tree.parent[c], c): step[tree.parent[c], c]
+            for c in tree.depth if c != tree.root}
 
 
 def oracle_rank(tree, v):
@@ -251,7 +267,7 @@ def _levels(paths: list[list[int]]) -> tuple[dict[tuple[int, int], int], dict[in
 def _build(tree: MulticastTree, preferred: dict[int, int]) -> PathDecomposition:
     paths = _chain_paths(tree, preferred)
     edge_to_path, level = _levels(paths)
-    return PathDecomposition(tuple(tuple(p) for p in paths), edge_to_path, level)
+    return PathDecomposition(tuple(tuple(p) for p in paths), level)
 
 
 def reference_heavy_path_decomposition(tree: MulticastTree) -> PathDecomposition:
@@ -307,7 +323,7 @@ def reference_shorten(decomposition: PathDecomposition, ell: int) -> PathDecompo
         for i in range(0, length, ell):
             chunks.append(tuple(p[i : i + ell + 1]))
     edge_to_path, level = _levels([list(c) for c in chunks])
-    return PathDecomposition(tuple(chunks), edge_to_path, level)
+    return PathDecomposition(tuple(chunks), level)
 
 
 def reference_subtree_sizes(tree: MulticastTree) -> dict[int, int]:
@@ -327,7 +343,8 @@ def reference_subtree_sizes(tree: MulticastTree) -> dict[int, int]:
 def assert_same(got: PathDecomposition, want: PathDecomposition):
     assert got.paths == want.paths
     assert got.level == want.level
-    assert got.edge_to_path == want.edge_to_path
+    # the map the reference builds eagerly, as the one-walk code once did
+    assert got.edge_to_path == _levels([list(p) for p in want.paths])[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -342,6 +359,23 @@ def test_one_walk_matches_reference(n, ell, seed):
     assert_same(got, want)
     assert ranks == want_ranks
     assert_same(short_decomposition(tree, ell), reference_shorten(heavy, ell))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_derived_edge_map_matches_eager_map_on_corpus(name):
+    """Heavy, short, rank and distributed decompositions derive the edge map
+    the eager walks stored, on first read and not before."""
+    instance = CORPUS[name]()
+    ell = log2_ceil(instance.graph.node_count)
+    dist = distributed_rank_decomposition(instance)
+    for t in instance.trees:
+        if t.max_depth == 0:
+            continue
+        for dec in (heavy_path_decomposition(t), short_decomposition(t, ell),
+                    rank_decomposition(t)[0], dist.decompositions[t.tree_id]):
+            assert "edge_to_path" not in vars(dec)
+            assert dec.edge_to_path == oracle_edge_to_path(t, dec)
+            assert "edge_to_path" in vars(dec)
 
 
 @pytest.mark.parametrize("shape", ["path", "star", "broom"])

@@ -643,6 +643,8 @@ def test_replay_leaves_no_cyclic_garbage(name):
     assert cyclic_garbage(lambda: simulate(inst, schedule)) == 0
     half = schedule.declared_length // 2
     assert cyclic_garbage(lambda: knowledge_at(inst, schedule, half)) == 0
+    text = schedule_to_json(schedule)
+    assert cyclic_garbage(lambda: schedule_from_json(text)) == 0
 
 
 def test_replay_keeps_callers_disabled_collector(shared_edge):
@@ -651,6 +653,18 @@ def test_replay_keeps_callers_disabled_collector(shared_edge):
     try:
         assert simulate(shared_edge, schedule).valid
         knowledge_at(shared_edge, schedule, 1)
+        assert schedule_from_json(schedule_to_json(schedule)) == schedule
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_schedule_reader_turns_collector_back_on():
+    """`schedule_from_json` runs with the collector paused, and switches it
+    back on after a file it reads and after one it refuses."""
+    text = '{"length":1,"sends":[{"from":0,"msg":0,"round":1,"to":1}]}'
+    assert schedule_from_json(text).sends == (Send(1, 0, 1, 0),)
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="send 0: unknown key 'mesg'"):
+        schedule_from_json(text.replace('"msg"', '"msg":0,"mesg"'))
+    assert gc.isenabled()

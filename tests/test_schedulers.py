@@ -36,7 +36,7 @@ from mcastsched import (
     simulate,
     unicast_frame_schedule,
 )
-from mcastsched import schedulers
+from mcastsched import congest, schedulers
 from mcastsched.schedulers import _draw_offsets, _route_instance
 from conftest import cyclic_garbage, shared_edge_instance
 from test_golden import CORPUS, SEEDS
@@ -914,3 +914,26 @@ def test_collector_stays_off_across_frames(monkeypatch):
     assert len(enabled) > 1
     assert not any(enabled)
     assert gc.isenabled()
+
+
+def test_schedulers_never_build_a_chunk_edge_map(monkeypatch):
+    """The frames, deterministic and congest paths never read a chunk's edge
+    map, so no decomposition they schedule holds one: it is derived on read."""
+    inst = gen_random_instance(200, 12, 10, 3)
+    seen = []
+    real = frame_schedule_from_decomps
+
+    def spy(instance, decomps, *args, **kwargs):
+        seen.append(decomps)
+        return real(instance, decomps, *args, **kwargs)
+
+    decomps = build_short_decompositions(inst, 3)
+    frame_schedule_from_decomps(inst, decomps, 3, 0)
+    monkeypatch.setattr(schedulers, "frame_schedule_from_decomps", spy)
+    monkeypatch.setattr(congest, "frame_schedule_from_decomps", spy)
+    deterministic_schedule(inst, 10**6)
+    for depths_known in (False, True):
+        distributed_multicast(inst, depths_known=depths_known)
+    assert len(seen) == 3
+    for dec in (d for ds in (decomps, *seen) for d in ds.values()):
+        assert "edge_to_path" not in vars(dec)
