@@ -1,7 +1,7 @@
 """Command-line front end: generation, scheduling, validation, decomposition
 inspection, CONGEST runs, and benchmark sweeps.
 
-Exit codes: 0 success, 1 validation/parameter error, 2 internal invariant
+Exit codes: 0 success, 1 invalid input, parameter or usage, 2 internal invariant
 breach (a scheduler produced a schedule that fails its own simulation).
 """
 
@@ -110,12 +110,25 @@ def _write(text: str, output: str) -> None:
             fh.write(text)
 
 
-@click.group()
+class _Main(click.Group):
+    """Usage errors (bad or missing options, arguments, commands or input
+    files) end like any invalid input, in one `error:` line and exit 1."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **kwargs, standalone_mode=False)
+        except click.ClickException as exc:
+            _fail(exc.format_message())
+        except click.Abort:
+            _fail("aborted")
+
+
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Simultaneous multicast scheduling in the store-and-forward model."""
 
 
-@main.group()
+@main.group(no_args_is_help=False)
 def gen():
     """Generate instances."""
 

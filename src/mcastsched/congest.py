@@ -567,7 +567,7 @@ def distributed_multicast(
     by_frame = defaultdict(list)  # frame -> its slices, as trees 0, 1, ...
     for t in instance.trees:
         if (0 < t.max_depth <= band and len(slices := by_frame[offsets[t.tree_id]]) == t.tree_id
-                and t.root not in t.parent and len(t.depth) == len(t.parent) + 1):
+                and t.is_clean):
             slices.append(t)  # a clean one-band tree is its own only slice
             continue
         for r, root, comp in _level_range_slices(t, band):

@@ -16,7 +16,7 @@ from .model import (
     norm_edge,
     validate_instance,
 )
-from .schedule import Schedule, simulate
+from .schedule import Schedule
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,11 @@ def check_lemmas(lb: LowerBoundInstance, congestion: int, depth: int) -> LemmaRe
     if bad_depth:
         failures.append(f"trees without depth exactly {depth}: {bad_depth[:5]}")
 
-    trees_ok = True
-    for t in inst.trees:
-        expected = len(t.parent)
-        reachable = len(t.depth) - 1
-        if reachable != expected or t.root not in t.depth:
-            trees_ok = False
-            failures.append(f"label {t.tree_id} does not induce a rooted tree")
+    unrooted = [t.tree_id for t in inst.trees if not t.is_clean]
+    failures += [f"label {tid} does not induce a rooted tree" for tid in unrooted]
     problems = validate_instance(inst)
+    trees_ok = not unrooted and not problems
     if problems:
-        trees_ok = False
         failures.append(f"instance invalid: {problems[:3]}")
 
     bound = 2 ** (congestion * 2 ** (depth + 1))

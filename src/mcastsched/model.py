@@ -8,7 +8,7 @@ import random
 import re
 import reprlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, filterfalse
 from typing import Collection, Iterable, Mapping
@@ -105,6 +105,12 @@ class MulticastTree:
     leaves = cached_property(lambda self: self._views[3])
 
     @cached_property
+    def is_clean(self) -> bool:
+        """The walk from the root reaches every parent-map key; as it never
+        counts the root as a key, a clean tree's root has no parent entry."""
+        return len(self.depth) == len(self.parent) + 1
+
+    @cached_property
     def max_depth(self) -> int:
         return max(self.depth.values())
 
@@ -167,11 +173,9 @@ def validate_instance(instance: MulticastInstance) -> list[str]:
         if t.message_id in seen_msgs:
             problems.append(f"duplicate message_id {t.message_id} (tree {t.tree_id})")
         seen_msgs.add(t.message_id)
-        # A clean tree skips the per-link checks. With the root parentless, a
-        # walk that reaches len(parent) + 1 nodes reached every child, and so
-        # every parent; each link is then a tree edge, whose ends are in range.
-        if (t.root not in t.parent and len(t.depth) == len(t.parent) + 1
-                and t.edges <= g.edges and 0 <= t.root < g.node_count):
+        # A clean tree skips the per-link checks: its walk reached every child
+        # and so every parent, so each link is a tree edge, its ends in range.
+        if t.is_clean and t.edges <= g.edges and 0 <= t.root < g.node_count:
             continue
         nodes = {t.root}
         for c, p in t.parent.items():

@@ -121,21 +121,14 @@ def unicast_frame_schedule(
     """Schedule one frame's unicasts along their given paths; returns the
     schedule and the frame's congestion C'.
 
-    frame_paths: list of (source, node sequence, message_id). Random start
-    delays in [0, C'); falls back to zero delays if the result ever exceeds
-    the C'*D' guarantee of plain greedy routing. On each edge the packet
-    with the most hops left goes first. The frame begins after round
-    `start`: its sends fall in rounds start + 1, start + 2, ...
-
-    When D' <= 1 each edge is a queue of its own. Its delayed length is
-    max_k (d_(k) + k), where d_(1) >= d_(2) >= ... are the delays of its
-    jobs: the k jobs of largest delay cannot finish before d_(k) + k, and an
-    edge idles only when nothing waits, so its last busy stretch starts at a
-    release d + 1 and carries only the jobs of delay >= d. The fallback is
-    decided from that before routing, so the frame is routed once: with zero
-    delays by `_route_single_hops`, else by `_route`.
-    When D' >= 2 the same first-hop bound is at most (C' - 1) + C' < C'*D',
-    so it could never fire, and nothing is computed.
+    frame_paths: list of (source, node sequence, message_id). The frame
+    begins after round `start`: its sends fall in rounds start + 1, ...
+    A frame of dilation D' >= 2 gives each unicast a random delay in
+    [0, C'), and on each edge the packet with the most hops left goes
+    first; if that takes more than the C'*D' rounds of plain greedy
+    routing, the frame is routed again with zero delays. A frame with
+    D' <= 1 is one queue per edge, whose busiest edge needs C' rounds: zero
+    delays take exactly that, so each edge sends its jobs in index order.
     """
     seqs, mids = [], []
     for src, seq, mid in frame_paths:
@@ -155,7 +148,10 @@ def unicast_frame_schedule(
         load = Counter(norm_edge(a, b) for seq in seqs for a, b in zip(seq, seq[1:]))
         cprime = max(load.values())
 
+    # every frame draws its delays, so later frames read the same rng stream
     delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
+    if dprime <= 1:
+        return _route_single_hops(seqs, mids, on_edge, start), cprime
 
     def route(delays):
         return _route(
@@ -167,19 +163,10 @@ def unicast_frame_schedule(
             lambda jid, c, depth: depth - len(seqs[jid]),
         )
 
-    if dprime > 1:
-        schedule = route(delays)
-        if schedule.declared_length - start > cprime * dprime:
-            schedule = route([0] * len(seqs))
-    elif not any(delays) or any(
-        d + k > cprime
-        for jobs in on_edge.values()
-        for k, d in enumerate(sorted([delays[j] for j in jobs], reverse=True), 1)
-    ):
-        schedule = _route_single_hops(seqs, mids, on_edge, start)
-    else:
-        schedule = route(delays)
-    assert schedule.declared_length - start <= cprime * dprime or not seqs
+    schedule = route(delays)
+    if schedule.declared_length - start > cprime * dprime:
+        schedule = route([0] * len(seqs))
+    assert schedule.declared_length - start <= cprime * dprime
     return schedule, cprime
 
 

@@ -587,6 +587,34 @@ def test_missing_instance_file_exits_nonzero(runner):
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "args, env, needle",
+    [
+        (["schedule", "{inst}", "--seed", "x"], {}, "'x' is not a valid integer"),
+        (["schedule", "{inst}", "--scheduler", "nope"], {}, "'nope' is not one of"),
+        (["gen", "random", "--trees", "2", "--depth", "2"], {}, "Missing option '--n'"),
+        (["schedule", "{missing}"], {}, "does not exist"),
+        (["schedule", "{inst}"], {"MCAST_SEED": "abc"}, "'abc' is not a valid integer"),
+    ],
+    ids=["bad-seed", "unknown-scheduler", "missing-option", "missing-file", "bad-env-seed"],
+)
+def test_usage_error_exits_one_with_one_error_line(runner, tmp_path, args, env, needle):
+    """Click's usage errors end like any invalid input, not in exit 2."""
+    inst = tmp_path / "inst.json"
+    write_shared_edge(inst)
+    args = [a.format(inst=inst, missing=tmp_path / "missing.json") for a in args]
+    res = runner.invoke(main, args, env=env)
+    _assert_clean_error(res, needle)
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["--help"], ["gen", "random", "--help"]])
+def test_help_exits_zero(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0 and res.stdout.startswith("Usage:")
+
+
 def _lowerbound_2_2(runner, tmp_path):
     inst_file = tmp_path / "lb.json"
     res = runner.invoke(

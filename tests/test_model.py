@@ -360,3 +360,37 @@ def test_tree_views_and_validation_match_former_definitions(inst):
         assert t.children == {v: ch for v, ch in children.items() if ch}
         assert (t.edges, t.leaves, t.max_depth) == (edges, leaves, max_depth)
     assert validate_instance(inst) == reference_validate(inst)
+
+
+# --- one clean-tree test ------------------------------------------------------
+# `validate_instance`, `check_lemmas` and the CONGEST multicast each used to
+# decide cleanliness on their own; the two-clause form is kept as the oracle.
+
+def reference_is_clean(t: MulticastTree) -> bool:
+    return t.root not in t.parent and len(t.depth) == len(t.parent) + 1
+
+
+@pytest.mark.parametrize(
+    "root, parent, clean",
+    [
+        (0, {1: 0, 2: 1}, True),
+        (0, {}, True),  # root only
+        (0, {0: 1, 1: 0}, False),  # the root has a parent, in a cycle with it
+        (0, {0: 2, 1: 0, 2: 1}, False),  # the root's parent is reachable
+        (0, {0: 5, 1: 0}, False),  # the root has a parent outside the walk
+        (0, {1: 0, 2: 3, 3: 2}, False),  # an unreachable cycle
+        (0, {1: 0, 2: 7}, False),  # an unreachable key
+        (0, {1: 0, 2: 2}, False),  # a self-parent
+    ],
+)
+def test_is_clean_cases(root, parent, clean):
+    t = MulticastTree(0, root, parent, 0)
+    assert t.is_clean is clean is reference_is_clean(t)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 9).flatmap(parent_maps))
+def test_is_clean_matches_two_clause_form(tree):
+    root, parent = tree
+    t = MulticastTree(0, root, parent, 0)
+    assert t.is_clean == reference_is_clean(t)

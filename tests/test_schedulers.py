@@ -39,7 +39,7 @@ from mcastsched import (
 from mcastsched import congest, schedulers
 from mcastsched.schedulers import _draw_offsets, _route_instance
 from conftest import cyclic_garbage, shared_edge_instance
-from test_golden import CORPUS, SEEDS
+from test_golden import CORPUS, MULTIFRAME_EPSILON, SEEDS
 
 
 # --- oracles ---------------------------------------------------------------
@@ -556,56 +556,6 @@ def random_frame(rng, n, k, max_hops):
     return paths
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(2, 8),
-    k=st.integers(0, 10),
-    max_hops=st.integers(0, 4),
-    seed=st.integers(0, 10**6),
-)
-def test_unicast_frame_matches_reference(n, k, max_hops, seed):
-    paths = random_frame(random.Random(seed), n, k, max_hops)
-    want, _ = reference_unicast_frame(paths, random.Random(seed))
-    assert unicast_frame_schedule(paths, random.Random(seed))[0] == want
-
-
-def test_unicast_frame_matches_reference_when_fallback_fires():
-    """Short, crowded frames whose random delays overshoot C'*D', so the
-    zero-delay fallback runs; the rng must be left in the same state too."""
-    fired = 0
-    for seed in range(200):
-        paths = random_frame(random.Random(seed), 3, 4, 1)
-        ref_rng, rng = random.Random(seed), random.Random(seed)
-        want, fell_back = reference_unicast_frame(paths, ref_rng)
-        assert unicast_frame_schedule(paths, rng)[0] == want
-        assert rng.random() == ref_rng.random()
-        fired += fell_back
-    assert fired >= 10  # 17 of the 200 frames
-
-
-def _single_hop_length(seqs, delays) -> int:
-    """Rounds that `_route` takes, after its start, for jobs of at most one
-    hop released at start + delay + 1: max over edges of max_k (d_(k) + k),
-    where d_(1) >= d_(2) >= ... are the delays of the edge's jobs.
-
-    Proof: the k jobs of largest delay cannot finish before d_(k) + k; and
-    an edge idles only when nothing waits, so its last busy stretch starts
-    at a release d + 1 and carries only the jobs of delay >= d.
-    """
-    on_edge = defaultdict(list)
-    for seq, d in zip(seqs, delays):
-        if len(seq) == 2:
-            on_edge[norm_edge(*seq)].append(d)
-    return max(
-        (
-            d + k
-            for ds in on_edge.values()
-            for k, d in enumerate(sorted(ds, reverse=True), 1)
-        ),
-        default=0,
-    )
-
-
 def _route_frame(seqs, mids, delays, start):
     """A frame's unicasts through the general engine `_route`."""
     return schedulers._route(
@@ -618,53 +568,73 @@ def _route_frame(seqs, mids, delays, start):
     )
 
 
-@settings(max_examples=200, deadline=None)
+def send_counts(schedule):
+    return Counter((s.u, s.v, s.message_id) for s in schedule.sends)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(2, 8),
-    k=st.integers(0, 20),
-    start=st.integers(0, 5),
+    k=st.integers(0, 10),
+    max_hops=st.integers(0, 4),
     seed=st.integers(0, 10**6),
-    data=st.data(),
 )
-def test_single_hop_length_matches_route(n, k, start, seed, data):
-    """The closed form that decides a D' = 1 frame's fallback equals the
-    length `_route` takes for the same delays, any delays in [0, C')."""
-    seqs = [seq for _, seq, _ in random_frame(random.Random(seed), n, k, 1)]
-    load = Counter(norm_edge(*seq) for seq in seqs if len(seq) == 2)
-    cprime = max(load.values(), default=1)
-    delays = data.draw(
-        st.lists(st.integers(0, cprime - 1), min_size=len(seqs), max_size=len(seqs))
-    )
-    routed = _route_frame(seqs, [0] * len(seqs), delays, start)
-    want = routed.declared_length - start if routed.sends else 0
-    assert _single_hop_length(seqs, delays) == want
+def test_unicast_frame_matches_reference(n, k, max_hops, seed):
+    """A frame with D' >= 2 gives the old rule's schedule. A one-hop frame
+    keeps the old rule's length and sends, in an order that may differ: its
+    edges send with zero delays, as `_route` does with zero delays."""
+    paths = random_frame(random.Random(seed), n, k, max_hops)
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    want, _ = reference_unicast_frame(paths, ref_rng)
+    got, _ = unicast_frame_schedule(paths, rng)
+    assert rng.getstate() == ref_rng.getstate()
+    seqs = [seq for _, seq, _ in paths]
+    if max(map(len, seqs), default=1) >= 3:
+        assert got == want
+        return
+    assert got.declared_length == want.declared_length
+    assert send_counts(got) == send_counts(want)
+    mids = [mid for _, _, mid in paths]
+    assert got == _route_frame(seqs, mids, [0] * len(seqs), 0)
 
 
-def check_single_hop_frame(paths, n, seed, start):
-    """A frame with D' <= 1 gives `_route`'s schedule for the delays that the
-    fallback rule selects, and `_route_single_hops` gives `_route`'s
-    zero-delay schedule; returns (fallback fired, delays kept nonzero, an
+# A D' = 2 frame of C' = 2 through edge (1, 4) and (0, 1): when all four
+# delays are 1, the delayed route takes 5 > C'*D' = 4 rounds.
+FALLBACK_FRAME = [(4, (4, 1, 5), 0), (4, (4, 1, 2), 1), (0, (0, 1, 3), 2), (0, (0, 1, 2), 3)]
+
+
+def test_unicast_frame_matches_reference_when_fallback_fires():
+    """The delays overshoot C'*D' at some seeds, so the zero-delay fallback
+    runs; the rng must be left in the same state too."""
+    fired = set()
+    for seed in range(200):
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        want, fell_back = reference_unicast_frame(FALLBACK_FRAME, ref_rng)
+        assert unicast_frame_schedule(FALLBACK_FRAME, rng)[0] == want
+        assert rng.getstate() == ref_rng.getstate()
+        if fell_back:
+            fired.add(seed)
+    assert {16, 17, 45} <= fired and len(fired) >= 10  # 12 of the 200 seeds
+
+
+def check_single_hop_frame(paths, seed, start):
+    """A frame with D' <= 1 gives `_route`'s zero-delay schedule, takes C'
+    rounds and leaves the rng where drawing its delays does; returns (an
     edge used both ways, a zero-hop job)."""
     seqs = [seq for _, seq, _ in paths]
     mids = [mid for _, _, mid in paths]
-    on_edge = defaultdict(list)
-    for jid, seq in enumerate(seqs):
-        if len(seq) == 2:
-            on_edge[norm_edge(*seq)].append(jid)
-    cprime = max(map(len, on_edge.values()), default=0)
-    rng = random.Random(seed)
-    delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
-    fired = _single_hop_length(seqs, delays) > cprime
-    if fired:
-        delays = [0] * len(seqs)
-    got, got_cprime = unicast_frame_schedule(paths, random.Random(seed), start)
-    assert got == _route_frame(seqs, mids, delays, start)
+    cprime = max(Counter(norm_edge(*seq) for seq in seqs if len(seq) == 2).values(), default=0)
+    rng, want_rng = random.Random(seed), random.Random(seed)
+    for _ in seqs:
+        if cprime > 1:
+            want_rng.randrange(cprime)
+    got, got_cprime = unicast_frame_schedule(paths, rng, start)
+    assert got == _route_frame(seqs, mids, [0] * len(seqs), start)
     assert got_cprime == cprime
-    zero = [0] * len(seqs)
-    walked = schedulers._route_single_hops(seqs, mids, on_edge, start)
-    assert walked == _route_frame(seqs, mids, zero, start)
-    both_ways = any(len({seqs[j] for j in jobs}) == 2 for jobs in on_edge.values())
-    return fired, any(delays), both_ways, any(len(seq) == 1 for seq in seqs)
+    assert (got.declared_length - start if got.sends else 0) == cprime
+    assert rng.getstate() == want_rng.getstate()
+    both_ways = any(seq[::-1] in seqs for seq in seqs if len(seq) == 2)
+    return both_ways, any(len(seq) == 1 for seq in seqs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -677,33 +647,29 @@ def check_single_hop_frame(paths, n, seed, start):
 )
 def test_single_hop_router_matches_route(n, k, max_hops, start, seed):
     paths = random_frame(random.Random(seed), n, k, max_hops)
-    check_single_hop_frame(paths, n, seed, start)
+    check_single_hop_frame(paths, seed, start)
 
 
 def test_single_hop_router_covers_its_cases():
     """Over fixed seeds the single-hop frames meet every case at least 20
-    times: the fallback firing, delays kept nonzero, an edge crossed both
-    ways, zero-hop jobs, and a start after round 0."""
+    times: an edge crossed both ways, zero-hop jobs, and a start after
+    round 0."""
     seen = Counter()
     for seed in range(300):
         rng = random.Random(seed)
         n = rng.randrange(2, 6)
         paths = random_frame(rng, n, rng.randrange(12), 1)
         start = rng.randrange(4)
-        fired, kept, both_ways, zero_hop = check_single_hop_frame(paths, n, seed, start)
-        seen.update(
-            fired=fired, kept=kept, both_ways=both_ways, zero_hop=zero_hop, start=start > 0
-        )
-    cases = ("fired", "kept", "both_ways", "zero_hop", "start")
-    assert min(seen[case] for case in cases) >= 20
+        both_ways, zero_hop = check_single_hop_frame(paths, seed, start)
+        seen.update(both_ways=both_ways, zero_hop=zero_hop, start=start > 0)
+    assert min(seen[case] for case in ("both_ways", "zero_hop", "start")) >= 20
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_frames_route_each_frame_once(monkeypatch, seed):
-    """At these seeds the lower-bound family's single-hop frame draws delays
-    that overshoot C', so the zero-delay fallback fires; it is decided before
-    routing. Each frame is routed exactly once: by `_route_single_hops` when
-    its D' <= 1 and its selected delays are all zero, by `_route` otherwise."""
+    """Each frame of the lower-bound family is routed exactly once: by
+    `_route_single_hops` when its D' <= 1, by `_route` otherwise (no frame
+    with D' >= 2 falls back at these seeds)."""
     inst = build_lowerbound(4, 2).instance
     calls, expected = [], []
 
@@ -711,18 +677,10 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
         real = getattr(schedulers, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    def unicast(paths, rng, *args, real=schedulers.unicast_frame_schedule):
-        seqs = [tuple(seq) for _, seq, _ in paths]
-        load = Counter(norm_edge(a, b) for seq in seqs for a, b in zip(seq, seq[1:]))
-        cprime = max(load.values(), default=0)
-        probe = random.Random()
-        probe.setstate(rng.getstate())
-        delays = [probe.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
-        walk = max(map(len, seqs)) <= 2 and (
-            not any(delays) or _single_hop_length(seqs, delays) > cprime
-        )
-        expected.append("_route_single_hops" if walk else "_route")
-        return real(paths, rng, *args)
+    def unicast(paths, *args, real=schedulers.unicast_frame_schedule):
+        one_hop = max(len(seq) for _, seq, _ in paths) <= 2
+        expected.append("_route_single_hops" if one_hop else "_route")
+        return real(paths, *args)
 
     monkeypatch.setattr(schedulers, "_route", spy("_route"))
     monkeypatch.setattr(schedulers, "_route_single_hops", spy("_route_single_hops"))
@@ -731,6 +689,87 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
     assert len(calls) == len(congestion)
     assert calls == expected
     assert set(calls) == {"_route", "_route_single_hops"}
+
+
+# --- differential: whole schedules under the old one-hop rule ----------------
+# A one-hop frame used to keep its random delays when their route took C'
+# rounds; every frame must still take as many rounds as it did then, so every
+# schedule keeps its length and its sends.
+
+def old_rule_frame(frame_paths, rng, start=0):
+    """`unicast_frame_schedule` under the old rule: `reference_unicast_frame`,
+    begun after round `start`."""
+    want, _ = reference_unicast_frame(frame_paths, rng)
+    sends = tuple(Send(s.round + start, s.u, s.v, s.message_id) for s in want.sends)
+    load = Counter(norm_edge(a, b) for _, seq, _ in frame_paths for a, b in zip(seq, seq[1:]))
+    return Schedule(sends, want.declared_length + start), max(load.values(), default=0)
+
+
+FRAME_RUNS = {
+    "frames": lambda inst, seed, ell, budget: frame_multicast_schedule(inst, seed, ell)[0],
+    "deterministic": lambda inst, seed, ell, budget: deterministic_schedule(
+        inst, budget, seed_cap=8, ell=ell
+    )[0],
+    "congest": lambda inst, seed, ell, budget: distributed_multicast(
+        inst, seed=seed, depths_known=True
+    )[0],
+    "congest_multiframe": lambda inst, seed, ell, budget: distributed_multicast(
+        inst, MULTIFRAME_EPSILON, seed, depths_known=True
+    )[0],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    inst=st.one_of(
+        small_instances,
+        st.sampled_from([(2, 1), (2, 2), (4, 1), (4, 2)]).map(
+            lambda cd: build_lowerbound(*cd).instance
+        ),
+    ),
+    run=st.sampled_from(sorted(FRAME_RUNS)),
+    ell=st.sampled_from([1, 2, None]),
+    budget=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+)
+def test_frame_schedules_keep_old_rule_lengths(inst, run, ell, budget, seed):
+    """Frame by frame, the new rule and the old one route the same unicasts
+    from the same round: identically when D' >= 2, else in as many rounds
+    with the same sends."""
+
+    def outcome(unicast):
+        frames = []  # (paths, start, schedule) of every routed frame
+
+        def record(paths, rng, start=0):
+            frag = unicast(paths, rng, start)
+            frames.append((paths, start, frag[0]))
+            return frag
+
+        with mock.patch.object(schedulers, "unicast_frame_schedule", record):
+            try:
+                return FRAME_RUNS[run](inst, seed, ell, budget), frames
+            except SeedSearchError as exc:  # decided before any frame is routed
+                return str(exc), frames
+
+    got, got_frames = outcome(unicast_frame_schedule)
+    want, want_frames = outcome(old_rule_frame)
+    assert len(got_frames) == len(want_frames)
+    for (paths, start, frag), (want_paths, want_start, want_frag) in zip(
+        got_frames, want_frames
+    ):
+        assert (paths, start) == (want_paths, want_start)
+        if max(len(seq) for _, seq, _ in paths) >= 3:
+            assert frag == want_frag
+        else:
+            length = max(frag.declared_length - start, 0)
+            assert length == max(want_frag.declared_length - start, 0)
+            assert send_counts(frag) == send_counts(want_frag)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.declared_length == want.declared_length
+    assert send_counts(got) == send_counts(want)
+    assert_valid(inst, got)
 
 
 # --- differential: the frames driver against the loop it replaced ----------
