@@ -47,7 +47,8 @@ class CongestNetwork:
 @dataclass
 class CongestTranscript:
     """Per round, per directed edge, the bit string sent; and `steps`, the
-    number of node steps the driver ran."""
+    number of node steps the driver ran. Within one transcript, equal edge
+    keys are one tuple and equal bit strings one string."""
 
     rounds: list[dict[tuple[int, int], str]] = field(default_factory=list)
     steps: int = 0
@@ -126,6 +127,8 @@ def run_congest(
     inbox: dict[int, dict[int, str]] = {}
     wake: set[int] = set(programs)  # nodes due to step without mail
     empty: dict[int, str] = {}
+    keys: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per directed edge
+    payloads: dict[str, str] = {}  # one string per distinct payload
     for r in range(max_rounds):
         if not inbox and not pending:
             return transcript
@@ -149,7 +152,8 @@ def run_congest(
                     raise ValueError(f"node {v} sent on non-edge ({v},{u})")
                 if len(bits) > budget:
                     raise BudgetViolation(r, (v, u), len(bits), budget)
-                record[(v, u)] = bits
+                bits, key = payloads.setdefault(bits, bits), (v, u)
+                record[keys.setdefault(key, key)] = bits
                 inbox.setdefault(u, {})[v] = bits
         transcript.steps += len(order)
         transcript.rounds.append(record)

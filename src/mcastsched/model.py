@@ -10,7 +10,7 @@ import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, islice
 from typing import Collection, Iterable, Mapping
 
 
@@ -68,9 +68,9 @@ class MulticastTree:
     message_id: int
 
     @cached_property
-    def _views(self) -> tuple[dict, dict, frozenset, frozenset]:
-        """`children`, `depth`, `edges` and `leaves`: one pass over `parent`
-        groups the children, one stack walk from the root fills the rest."""
+    def _views(self) -> tuple[dict, dict, frozenset]:
+        """`children`, `depth` and `leaves`: one pass over `parent` groups the
+        children, one stack walk from the root fills the rest."""
         root = self.root
         children: dict[int, list[int]] = {}
         for c, p in self.parent.items():
@@ -79,7 +79,7 @@ class MulticastTree:
         for ch in children.values():
             ch.sort()
         depth = {root: 0}
-        edges, leaves = [], []
+        leaves = []
         stack = [root]
         while stack:  # each reachable node has one parent, so none comes twice
             v = stack.pop()
@@ -90,19 +90,22 @@ class MulticastTree:
             d = depth[v] + 1
             for c in ch:
                 depth[c] = d
-                edges.append(norm_edge(v, c))
             stack.extend(ch)
-        return children, depth, frozenset(edges), frozenset(leaves)
+        return children, depth, frozenset(leaves)
 
     # Sorted children of each inner node, reachable or not; a parent entry
     # for the root (which `validate_instance` reports) is left out.
     children = cached_property(lambda self: self._views[0])
     # Hop distance from the root, for nodes reachable through the parent
-    # map, each parent before its children.
+    # map, the root first and each parent before its children.
     depth = cached_property(lambda self: self._views[1])
-    # Normalized tree edges, reachable part only (no root parent link).
-    edges = cached_property(lambda self: self._views[2])
-    leaves = cached_property(lambda self: self._views[3])
+    leaves = cached_property(lambda self: self._views[2])
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Normalized tree edges, reachable part only (no root parent link),
+        built on each read so that no tree keeps a set as large as itself."""
+        return frozenset(norm_edge(c, self.parent[c]) for c in islice(self.depth, 1, None))
 
     @cached_property
     def is_clean(self) -> bool:
@@ -143,8 +146,8 @@ class MulticastInstance:
     @cached_property
     def metrics(self) -> InstanceMetrics:
         counts: Counter = Counter()
-        for t in self.trees:
-            counts.update(t.edges)
+        for t in self.trees:  # each node below the root names one tree edge
+            counts.update([norm_edge(c, t.parent[c]) for c in islice(t.depth, 1, None)])
         dilation = max((t.max_depth for t in self.trees), default=0)
         return InstanceMetrics(max(counts.values(), default=0), dilation)
 
@@ -175,7 +178,8 @@ def validate_instance(instance: MulticastInstance) -> list[str]:
         seen_msgs.add(t.message_id)
         # A clean tree skips the per-link checks: its walk reached every child
         # and so every parent, so each link is a tree edge, its ends in range.
-        if t.is_clean and t.edges <= g.edges and 0 <= t.root < g.node_count:
+        if (t.is_clean and g.edges.issuperset(map(norm_edge, t.parent, t.parent.values()))
+                and 0 <= t.root < g.node_count):
             continue
         nodes = {t.root}
         for c, p in t.parent.items():
@@ -354,14 +358,19 @@ _NODE_KEY = re.compile(r"0|-?[1-9][0-9]*")  # str(c) of an int c
 def instance_from_json(text: str) -> MulticastInstance:
     """Parse an instance: `read_object` reads the document and each tree (a
     tree's message defaults to its id), and bulk passes check that each edge
-    is a pair of int nodes and each parent map maps decimal keys to ints."""
+    is a pair of int nodes and each parent map maps decimal keys to ints.
+    Checked node ids are interned by first occurrence, in no table sized by
+    `n`: each edge end, root, parent key and value is one int per node."""
     n, edges, raw_trees = read_object(json.loads(text), "", _INSTANCE)
     if n < 1:
         raise ValueError(f"n must be >= 1, not {n}")
     for bad in (e for e in edges if type(e) is not list or len(e) != 2):
         raise ValueError(f"edge {reprlib.repr(bad)} is not a pair of nodes")
-    check_kind("edge endpoint", "an integer", list(chain.from_iterable(edges)))
-    graph = Graph.build(n, edges)
+    ends = list(chain.from_iterable(edges))
+    check_kind("edge endpoint", "an integer", ends)
+    node: dict[int, int] = {}  # node id -> its one int object
+    ends = list(map(node.setdefault, ends, ends))
+    graph = Graph.build(n, zip(ends[::2], ends[1::2]))
     check_kind("tree", "an object", raw_trees)
     ids = [t["id"] for t in raw_trees]  # a tree's id names it in its messages
     check_kind("tree id", "an integer", ids)
@@ -371,7 +380,9 @@ def instance_from_json(text: str) -> MulticastInstance:
         check_kind(f"tree {tid}: parent", "an integer", raw.values())
         for bad in filterfalse(_NODE_KEY.fullmatch, raw):
             raise ValueError(f"tree {tid}: parent key {bad!r} is not a decimal node id")
-        parent = dict(zip(map(int, raw), raw.values()))
+        keys, values = list(map(int, raw)), raw.values()
+        parent = dict(zip(map(node.setdefault, keys, keys), map(node.setdefault, values, values)))
+        root = node.setdefault(root, root)
         trees.append(MulticastTree(tid, root, parent, tid if msg is None else msg))
     return MulticastInstance.build(graph, trees)
 

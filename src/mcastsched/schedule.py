@@ -91,9 +91,10 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
         remaining[t.tree_id] = set(t.leaves) - {t.root}
         if not remaining[t.tree_id]:
             completion[t.tree_id] = 0
-    # message id -> (its last tree, as in tree_by_message; arrivals; undelivered)
+    # message id -> (its last tree, as in tree_by_message; its parent map and
+    # depths; arrivals; undelivered)
     state = {
-        mid: (t, arrived[mid], remaining[t.tree_id])
+        mid: (t, t.parent, t.depth, arrived[mid], remaining[t.tree_id])
         for mid, t in instance.tree_by_message.items()
     }
 
@@ -120,7 +121,7 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
             if known is None:
                 violations.append(Violation("unknown_message", r, f"message {mid}: {s}"))
                 continue
-            tree, arr, rem = known
+            tree, parent, depth, arr, rem = known
             edge = (u, v) if u < v else (v, u)
             if edge in used_edges:
                 violations.append(
@@ -133,7 +134,9 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
                     Violation("not_in_graph", r, f"edge {edge} not in the host graph")
                 )
                 continue
-            if edge not in tree.edges:
+            # A depth is positive exactly at the reachable nodes below the
+            # root, each reached from its parent: this is `edge in tree.edges`.
+            if not (depth.get(v) and parent[v] == u or depth.get(u) and parent[u] == v):
                 violations.append(
                     Violation("off_tree", r, f"edge {edge} not in tree {tree.tree_id}")
                 )

@@ -38,6 +38,7 @@ from mcastsched import (
 )
 from conftest import cyclic_garbage
 from test_golden import CORPUS, EPSILON
+from test_model import instances_with_defects
 
 
 def chain_instance():
@@ -567,6 +568,23 @@ def test_replay_matches_reference(inst, scheduler, mutation, merged, shuffle, se
         assert _outcome(lambda: knowledge_at(inst, schedule, r)) == _outcome(
             lambda: reference_knowledge_at(inst, schedule, r)
         ), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=instances_with_defects(), data=st.data())
+def test_replay_matches_reference_on_malformed_trees(inst, data):
+    """Trees whose root has a parent, with unreachable keys, cycles and
+    self-parents: every message crosses every graph edge both ways, in
+    random rounds, and the replay's on-tree test (from parent links and
+    depths) agrees with the reference's `edge in tree.edges`."""
+    last = data.draw(st.integers(1, 4))
+    sends = [
+        Send(data.draw(st.integers(1, last)), a, b, mid)
+        for mid in sorted({t.message_id for t in inst.trees})
+        for u, v in sorted(inst.graph.edges)
+        for a, b in ((u, v), (v, u))
+    ]
+    assert_replays_like_reference(inst, Schedule(tuple(data.draw(st.permutations(sends))), last))
 
 
 # --- hand-made replay cases, each against the reference ----------------------
