@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .decomposition import PathDecomposition, RankMap
@@ -67,32 +67,18 @@ class CongestTranscript:
 class AuditReport:
     max_bits: int
     budget: int
-    histogram: dict[int, int]
     passed: bool
-    first_violation: tuple[int, tuple[int, int]] | None = None
 
 
-def message_size_audit(
-    transcripts, budget: int
-) -> AuditReport:
-    """Check every (round, edge, direction) payload against the bit budget."""
+def message_size_audit(transcripts, budget: int) -> AuditReport:
+    """Check the widest (round, edge, direction) payload against the bit budget."""
     if isinstance(transcripts, CongestTranscript):
         transcripts = [transcripts]
-    histogram: Counter = Counter()
-    max_bits = 0
-    first_violation = None
-    rnd_index = 0
-    for tr in transcripts:
-        for rnd in tr.rounds:
-            for edge, bits in rnd.items():
-                histogram[len(bits)] += 1
-                max_bits = max(max_bits, len(bits))
-                if len(bits) > budget and first_violation is None:
-                    first_violation = (rnd_index, edge)
-            rnd_index += 1
-    return AuditReport(
-        max_bits, budget, dict(histogram), max_bits <= budget, first_violation
+    max_bits = max(
+        (len(bits) for tr in transcripts for rnd in tr.rounds for bits in rnd.values()),
+        default=0,
     )
+    return AuditReport(max_bits, budget, max_bits <= budget)
 
 
 def run_congest(

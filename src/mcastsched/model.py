@@ -49,9 +49,6 @@ class Graph:
             adj[v].sort()
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
-
 
 @dataclass(frozen=True)
 class MulticastTree:

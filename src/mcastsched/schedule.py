@@ -11,7 +11,7 @@ from itertools import chain, groupby, islice
 from operator import itemgetter, le
 from typing import NamedTuple
 
-from .model import REQUIRED, MulticastInstance, norm_edge, read_object
+from .model import REQUIRED, MulticastInstance, read_object
 
 _by_round_u_v = itemgetter(0, 1, 2)
 
@@ -24,10 +24,6 @@ class Send(NamedTuple):
     u: int  # sender
     v: int  # receiver
     message_id: int
-
-    @property
-    def edge(self) -> tuple[int, int]:
-        return norm_edge(self.u, self.v)
 
 
 def _gc_paused(fn):
@@ -50,12 +46,6 @@ def _gc_paused(fn):
 class Schedule:
     sends: tuple[Send, ...]
     declared_length: int
-
-    @classmethod
-    def from_sends(cls, sends) -> "Schedule":
-        sends = tuple(sorted(sends, key=_by_round_u_v))
-        length = max((s.round for s in sends), default=0)
-        return cls(sends, length)
 
 
 @dataclass(frozen=True)
@@ -210,6 +200,8 @@ def schedule_from_json(text: str) -> Schedule:
     checks every send as `read_object` would, and on a refusal `read_object`
     reads the sends in order, so that it names the first one refused."""
     length, raw = read_object(json.loads(text), "", _SCHEDULE)
+    if length < 0:
+        raise ValueError(f"length must be >= 0, not {length}")
     try:
         rows = list(map(itemgetter(*_SEND), raw))
         ok = {*map(len, raw)} <= {4} and {*map(type, chain.from_iterable(rows))} <= {int}

@@ -1,9 +1,10 @@
 import gc
 import random
+from operator import itemgetter
 
 import pytest
 
-from mcastsched import Graph, MulticastInstance, MulticastTree
+from mcastsched import Graph, MulticastInstance, MulticastTree, Schedule
 
 # one line per acceptance criterion, printed in the terminal summary
 acceptance_lines: list[str] = []
@@ -34,6 +35,13 @@ def cyclic_garbage(call) -> int:
         return gc.collect()
     finally:
         gc.enable()
+
+
+def schedule_of(sends) -> Schedule:
+    """The sends stably sorted by (round, u, v), declared as long as the last
+    send's round (0 when there are none)."""
+    sends = tuple(sorted(sends, key=itemgetter(0, 1, 2)))
+    return Schedule(sends, max((s.round for s in sends), default=0))
 
 
 def shared_edge_instance() -> MulticastInstance:

@@ -339,9 +339,9 @@ def test_sends_as_string_exits_one(runner, tmp_path, command):
 @pytest.mark.parametrize(
     "key, value",
     [("round", "1"), ("from", "a"), ("to", None), ("msg", [1]), ("round", 1.5),
-     ("round", True), ("length", "1"), ("lenght", 3), ("mesg", 1)],
+     ("round", True), ("length", "1"), ("length", -1), ("lenght", 3), ("mesg", 1)],
     ids=["round-str", "from-str", "to-null", "msg-list", "round-float",
-         "round-bool", "length-str", "unknown-key", "send-unknown-key"],
+         "round-bool", "length-str", "length-negative", "unknown-key", "send-unknown-key"],
 )
 def test_non_integer_schedule_field_exits_one(runner, tmp_path, command, key, value):
     inst_file = tmp_path / "shared_edge.json"

@@ -16,7 +16,6 @@ from mcastsched import (
     MulticastInstance,
     MulticastTree,
     RoundLimitError,
-    Schedule,
     Send,
     compute_metrics,
     decomposition_to_json,
@@ -29,6 +28,7 @@ from mcastsched import (
     instance_to_json,
     log2_ceil,
     message_size_audit,
+    norm_edge,
     rank_decomposition,
     run_congest,
     schedule_to_json,
@@ -37,6 +37,7 @@ from mcastsched import (
     verify_short,
 )
 from mcastsched.congest import _level_range_slices
+from conftest import schedule_of
 from test_decomposition import oracle_edge_to_path, reference_shorten
 
 
@@ -60,7 +61,7 @@ def lockstep_run_congest(network, programs, max_rounds):
             for u, bits in out.items():
                 if not bits:
                     continue
-                if not network.graph.has_edge(v, u):
+                if norm_edge(v, u) not in network.graph.edges:
                     raise ValueError(f"node {v} sent on non-edge ({v},{u})")
                 if len(bits) > budget:
                     raise BudgetViolation(r, (v, u), len(bits), budget)
@@ -201,17 +202,21 @@ def test_lockstep_reference_same_contract(check):
     check(lockstep_run_congest)
 
 
-def test_message_size_audit_histogram():
+def test_message_size_audit_max_bits():
     g = Graph.build(2, [(0, 1)])
     net = CongestNetwork(g, bit_factor=4)
     progs = {v: _Echo(v, g.neighbors[v], "101") for v in (0, 1)}
     tr = run_congest(net, progs, 10)
     report = message_size_audit(tr, 4)
-    assert report.passed
-    assert report.histogram == {3: 2}
+    assert (report.max_bits, report.budget, report.passed) == (3, 4, True)
     bad = message_size_audit(tr, 2)
-    assert not bad.passed
-    assert bad.first_violation == (0, (0, 1))
+    assert (bad.max_bits, bad.passed) == (3, False)
+    # a list of transcripts, as the CLI and perfbench pass them: the widest
+    # payload is in the second one
+    wide = CongestTranscript(rounds=[{}, {(1, 0): "10110"}])
+    both = message_size_audit([tr, wide], 4)
+    assert (both.max_bits, both.passed) == (5, False)
+    assert message_size_audit([tr, wide], 5).passed
 
 
 def test_tree_offsets_shared_randomness():
@@ -442,7 +447,7 @@ def reference_depths_known(instance, epsilon, seed):
         for s in frag.sends:
             sends.append(Send(s.round + clock, s.u, s.v, back[s.message_id]))
         clock += frag.declared_length
-    schedule = Schedule.from_sends(sends)
+    schedule = schedule_of(sends)
     return schedule, clock
 
 

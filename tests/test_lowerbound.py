@@ -27,7 +27,7 @@ from mcastsched import (
     simulate,
     validate_instance,
 )
-from conftest import shared_edge_instance
+from conftest import schedule_of, shared_edge_instance
 
 
 # --- oracles ---------------------------------------------------------------
@@ -315,10 +315,10 @@ def test_markov_counts_shared_edges_only():
 
 def test_markov_detects_overfast_crossing():
     # fabricated schedule where both messages cross the shared edge at once
-    from mcastsched import Schedule, Send
+    from mcastsched import Send
 
     fig = shared_edge_instance()
-    cheat = Schedule.from_sends([Send(1, 0, 1, 0), Send(1, 0, 1, 1)])
+    cheat = schedule_of([Send(1, 0, 1, 0), Send(1, 0, 1, 1)])
     assert not simulate(fig, cheat).valid  # capacity violation
     assert not markov_delay_check(fig, cheat).passed
 

@@ -252,8 +252,8 @@ def test_metrics_computed_once_per_instance(name):
 
 # --- the tree views against their former definitions ------------------------
 # Each view used to be its own cached walk, `children` also listed every leaf
-# with an empty list, and `validate_instance` checked every link with
-# `Graph.has_edge`. Those bodies are kept verbatim as the reference.
+# with an empty list, and `validate_instance` looked every link up in the
+# host graph's edge set. Those bodies are kept verbatim as the reference.
 
 def reference_views(t: MulticastTree):
     """(children, depth, edges, leaves, max_depth) of the former definitions."""
@@ -309,7 +309,7 @@ def reference_validate(instance: MulticastInstance) -> list[str]:
         for c, p in t.parent.items():
             if c == p:
                 problems.append(f"tree {t.tree_id}: node {c} is its own parent")
-            elif not g.has_edge(c, p):
+            elif norm_edge(c, p) not in g.edges:
                 problems.append(
                     f"tree {t.tree_id}: edge ({p},{c}) missing from host graph"
                 )

@@ -38,7 +38,7 @@ from mcastsched import (
 )
 from mcastsched import congest, schedulers
 from mcastsched.schedulers import _draw_offsets, _route_instance
-from conftest import cyclic_garbage, shared_edge_instance
+from conftest import cyclic_garbage, schedule_of, shared_edge_instance
 from test_golden import CORPUS, MULTIFRAME_EPSILON, SEEDS
 
 
@@ -125,7 +125,7 @@ def test_unicast_frame_respects_cprime_dprime():
     jobs = [(0, tuple(range(8)), m) for m in range(4)]
     sched, cprime = unicast_frame_schedule(jobs, random.Random(0))
     assert cprime == 4
-    per_round_edge = Counter((s.round, s.edge) for s in sched.sends)
+    per_round_edge = Counter((s.round, norm_edge(s.u, s.v)) for s in sched.sends)
     assert max(per_round_edge.values()) == 1
     assert sched.declared_length <= 4 * 7
 
@@ -383,7 +383,7 @@ def _route_trees(instance: MulticastInstance, priority, gate=None) -> Schedule:
             arm(by_id[tid], child)
         if not delivered and gate is None:
             raise AssertionError("greedy routing stalled")  # cannot happen
-    return Schedule.from_sends(sends)
+    return schedule_of(sends)
 
 
 def reference_greedy(instance: MulticastInstance) -> Schedule:
@@ -480,7 +480,7 @@ def reference_unicast_frame(frame_paths, rng: random.Random):
     if fell_back:
         sends, length = _route_paths(jobs, {j[0]: 0 for j in jobs})
     assert length <= cprime * dprime or not jobs
-    return Schedule.from_sends(sends), fell_back
+    return schedule_of(sends), fell_back
 
 
 small_instances = st.one_of(
@@ -821,7 +821,7 @@ def reference_frame_schedule_from_decomps(
             clock += frag.declared_length
         for tid, pidx in by_frame[f]:
             delivered[tid].update(decomps[tid].paths[pidx])
-    return Schedule.from_sends(sends), frame_of, rng
+    return schedule_of(sends), frame_of, rng
 
 
 def _outcome(call):
