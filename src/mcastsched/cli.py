@@ -216,6 +216,8 @@ def cmd_schedule(instance_file, scheduler, seed, ell, budget, output):
         run = run_scheduler(instance, scheduler, seed, ell=ell, budget=budget)
     except (ValueError, SeedSearchError) as exc:
         _fail(str(exc))
+    except OverflowError:  # a schedule keeps its sends as 64-bit integer columns
+        _fail("node and message ids must be below 2**63 to schedule")
     sched = run.schedule
     report = simulate(instance, sched)
     if not report.valid:

@@ -4,6 +4,7 @@ rank-based decomposition, and the distributed multicast built on it."""
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from .model import (
     log2_ceil,
     norm_edge,
 )
-from .schedule import Schedule
+from .schedule import Schedule, _new_columns
 from .schedulers import build_short_decompositions, frame_schedule_from_decomps
 
 
@@ -566,13 +567,16 @@ def distributed_multicast(
             slices.append(MulticastTree(len(slices), root, comp, t.message_id))
 
     ell = log2_ceil(n)
-    sends = []
+    columns = _new_columns()
     clock = 0
     for f in sorted(by_frame):
-        sub = MulticastInstance.build(instance.graph, by_frame[f])
+        trees = by_frame[f]  # when these are the instance's trees, its cached views are kept
+        whole = len(trees) == len(instance.trees) and all(map(operator.is_, trees, instance.trees))
+        sub = instance if whole else MulticastInstance.build(instance.graph, trees)
         frag, _ = frame_schedule_from_decomps(
             sub, build_short_decompositions(sub, ell), ell, seed * 7919 + f, start=clock
         )
-        sends.extend(frag.sends)  # rounds after the clock, in (round, u, v) order
+        for column, part in zip(columns, frag.columns):
+            column.extend(part)  # rounds after the clock, in (round, u, v) order
         clock = frag.declared_length
-    return Schedule(tuple(sends), clock), clock
+    return Schedule._of(columns, clock), clock

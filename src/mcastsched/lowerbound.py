@@ -7,16 +7,16 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter, le
 
 from .model import (
     Graph,
     MulticastInstance,
     MulticastTree,
     compute_metrics,
-    norm_edge,
     validate_instance,
 )
-from .schedule import Schedule
+from .schedule import Schedule, _gc_paused
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def pad_to_n(lb: LowerBoundInstance, n: int) -> MulticastInstance:
     return MulticastInstance(graph, inst.trees)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeDelayResult:
     edge: tuple[int, int]
     congestion: int
@@ -205,46 +205,48 @@ class MarkovReport:
         return all(r.passed for r in self.per_edge)
 
 
+@_gc_paused
 def markov_delay_check(
     instance: MulticastInstance, schedule: Schedule
 ) -> MarkovReport:
     """For each edge shared by c >= 2 trees: after floor(c/2) rounds from the
     first round any of its messages could cross, at least ceil(c/2) of those
     trees must not have crossed yet (at most one message per round crossed)."""
-    receipt: dict[tuple[int, int], int] = {}
-    for s in sorted(schedule.sends, key=lambda s: s.round):
-        key = (s.v, s.message_id)
-        if key not in receipt:
-            receipt[key] = s.round
+    rounds, _, receivers, mids = schedule.columns
+    rows = zip(rounds, receivers, mids)
+    if not all(map(le, rounds, itertools.islice(rounds, 1, None))):
+        rows = sorted(rows, key=itemgetter(0))
+    receipt: dict[int, dict[int, int]] = defaultdict(dict)  # message -> node -> round
+    for r, v, mid in rows:
+        receipt[mid].setdefault(v, r)
 
-    users: dict[tuple[int, int], list[tuple[int, int, int]]] = defaultdict(list)
+    # each node c below a tree's root names one tree edge, which a message
+    # could cross first in round depth(c)
+    users: dict[tuple[int, int], int] = defaultdict(int)
+    first: dict[tuple[int, int], int] = {}
     for t in instance.trees:
-        for c, p in t.parent.items():
-            if c in t.depth and c != t.root:
-                users[norm_edge(c, p)].append((t.tree_id, p, c))
-
-    results = []
-    for edge, lst in sorted(users.items()):
-        c = len(lst)
-        if c < 2:
-            continue
-        first = min(
-            instance.tree_by_id[tid].depth[parent] + 1 for tid, parent, _ in lst
-        )
-        need = math.ceil(c / 2)
-        # after floor(c/2) rounds from `first`, at most floor(c/2) messages
-        # crossed, so at least ceil(c/2) trees are still waiting
-        check_round = first + c // 2 - 1
-        delayed = tuple(
-            tid
-            for tid, _, child in lst
-            if receipt.get(
-                (child, instance.tree_by_id[tid].message_id), math.inf
-            )
-            > check_round
-        )
-        results.append(EdgeDelayResult(edge, c, check_round, delayed, need))
-    return MarkovReport(results)
+        parent = t.parent
+        for c, d in itertools.islice(t.depth.items(), 1, None):
+            p = parent[c]
+            edge = (c, p) if c < p else (p, c)
+            users[edge] += 1
+            if d < first.get(edge, math.inf):
+                first[edge] = d
+    # after floor(c/2) rounds from `first`, at most floor(c/2) messages
+    # crossed, so at least ceil(c/2) trees are still waiting
+    check_round = {e: first[e] + c // 2 - 1 for e, c in users.items() if c >= 2}
+    delayed = defaultdict(list)  # edge -> its delayed trees, in tree order
+    for t in instance.trees:
+        got, parent = receipt.get(t.message_id, {}), t.parent
+        for c in itertools.islice(t.depth, 1, None):
+            p = parent[c]
+            edge = (c, p) if c < p else (p, c)
+            if edge in check_round and got.get(c, math.inf) > check_round[edge]:
+                delayed[edge].append(t.tree_id)
+    return MarkovReport([
+        EdgeDelayResult(e, users[e], r, tuple(delayed.get(e, ())), math.ceil(users[e] / 2))
+        for e, r in sorted(check_round.items())
+    ])
 
 
 def exhaustive_opt(

@@ -5,9 +5,10 @@ from __future__ import annotations
 import functools
 import gc
 import json
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter, le
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ class Send(NamedTuple):
 
 def _gc_paused(fn):
     """Run fn with the cyclic garbage collector off, unless it is off already.
-    Sends are tracked tuples, but the loops this wraps make no reference cycles."""
+    The loops this wraps build many tracked tuples, but no reference cycles."""
     @functools.wraps(fn)
     def paused(*args, **kwargs):
         if not gc.isenabled():
@@ -42,10 +43,46 @@ def _gc_paused(fn):
     return paused
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Schedule:
-    sends: tuple[Send, ...]
+    """The sends as four integer columns, round, sender, receiver and message
+    id, in schedule order. `Schedule(sends, declared_length)` takes any
+    iterable of 4-tuples; `sends` builds them as `Send` tuples on each read."""
+
+    columns: tuple[array, array, array, array]
     declared_length: int
+
+    def __init__(self, sends, declared_length: int):
+        rows = list(sends)
+        columns = tuple(array("q", map(itemgetter(i), rows)) for i in range(4))
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "declared_length", declared_length)
+
+    @classmethod
+    def _of(cls, columns, declared_length: int) -> Schedule:
+        """A schedule that takes over the given columns."""
+        self = cls((), declared_length)
+        object.__setattr__(self, "columns", columns)
+        return self
+
+    @property
+    def sends(self) -> tuple[Send, ...]:
+        return tuple(map(Send, *self.columns))
+
+    def __hash__(self):
+        return hash((self.declared_length, *(c.tobytes() for c in self.columns)))
+
+
+def _new_columns():
+    return tuple(array("q") for _ in range(4))
+
+
+def _append_round(columns, rnd: int, rows: list) -> None:
+    """Append one round's (sender, receiver, message id) rows, sorted."""
+    rows.sort()
+    columns[0].extend(repeat(rnd, len(rows)))
+    for column, values in zip(columns[1:], zip(*rows)):
+        column.extend(values)
 
 
 @dataclass(frozen=True)
@@ -90,59 +127,68 @@ def _replay(instance: MulticastInstance, schedule: Schedule, upto_round=None):
 
     violations: list[Violation] = []
     redundant: list[Send] = []
-    last = schedule.declared_length if upto_round is None else upto_round
-    in_range = []
-    for s in schedule.sends:
-        if s.round < 1:
-            violations.append(Violation("bad_round", s.round, f"round < 1: {s}"))
-        elif s.round > schedule.declared_length:
-            violations.append(
-                Violation("bad_round", s.round, f"round beyond declared length: {s}")
-            )
-        elif s.round <= last:
-            in_range.append(s)
-    in_range.sort(key=itemgetter(0))  # stable: schedule order within a round
+    declared = schedule.declared_length
+    last = declared if upto_round is None else min(upto_round, declared)
+    rounds = schedule.columns[0]
+    rows = zip(*schedule.columns)
+    if rounds and not (1 <= rounds[0] and rounds[-1] <= last
+                       and all(map(le, rounds, islice(rounds, 1, None)))):
+        in_range = []
+        for s in rows:
+            if s[0] < 1:
+                violations.append(Violation("bad_round", s[0], f"round < 1: {Send(*s)}"))
+            elif s[0] > declared:
+                violations.append(
+                    Violation("bad_round", s[0], f"round beyond declared length: {Send(*s)}")
+                )
+            elif s[0] <= last:
+                in_range.append(s)
+        in_range.sort(key=itemgetter(0))  # stable: schedule order within a round
+        rows = in_range
 
-    for r, sends in groupby(in_range, itemgetter(0)):
-        used_edges: set[tuple[int, int]] = set()
-        for s in sends:
-            _, u, v, mid = s
-            known = state.get(mid)
-            if known is None:
-                violations.append(Violation("unknown_message", r, f"message {mid}: {s}"))
-                continue
-            tree, parent, depth, arr, rem = known
-            edge = (u, v) if u < v else (v, u)
-            if edge in used_edges:
-                violations.append(
-                    Violation("capacity", r, f"edge {edge} used twice in round {r}")
-                )
-                continue
-            used_edges.add(edge)
-            if edge not in graph_edges:
-                violations.append(
-                    Violation("not_in_graph", r, f"edge {edge} not in the host graph")
-                )
-                continue
-            # A depth is positive exactly at the reachable nodes below the
-            # root, each reached from its parent: this is `edge in tree.edges`.
-            if not (depth.get(v) and parent[v] == u or depth.get(u) and parent[u] == v):
-                violations.append(
-                    Violation("off_tree", r, f"edge {edge} not in tree {tree.tree_id}")
-                )
-                continue
-            if arr.get(u, r) >= r:
-                detail = f"node {u} does not hold message {mid} in round {r}"
-                violations.append(Violation("sender_missing", r, detail))
-                continue
-            at = arr.get(v)
-            if at is None:
-                arr[v] = r
-                rem.discard(v)
-                if not rem and tree.tree_id not in completion:
-                    completion[tree.tree_id] = r
-            elif at < r:
-                redundant.append(s)
+    prev = None
+    for r, u, v, mid in rows:
+        if r != prev:
+            used_edges: set[tuple[int, int]] = set()
+            prev = r
+        known = state.get(mid)
+        if known is None:
+            violations.append(
+                Violation("unknown_message", r, f"message {mid}: {Send(r, u, v, mid)}")
+            )
+            continue
+        tree, parent, depth, arr, rem = known
+        edge = (u, v) if u < v else (v, u)
+        if edge in used_edges:
+            violations.append(
+                Violation("capacity", r, f"edge {edge} used twice in round {r}")
+            )
+            continue
+        used_edges.add(edge)
+        if edge not in graph_edges:
+            violations.append(
+                Violation("not_in_graph", r, f"edge {edge} not in the host graph")
+            )
+            continue
+        # A depth is positive exactly at the reachable nodes below the
+        # root, each reached from its parent: this is `edge in tree.edges`.
+        if not (depth.get(v) and parent[v] == u or depth.get(u) and parent[u] == v):
+            violations.append(
+                Violation("off_tree", r, f"edge {edge} not in tree {tree.tree_id}")
+            )
+            continue
+        if arr.get(u, r) >= r:
+            detail = f"node {u} does not hold message {mid} in round {r}"
+            violations.append(Violation("sender_missing", r, detail))
+            continue
+        at = arr.get(v)
+        if at is None:
+            arr[v] = r
+            rem.discard(v)
+            if not rem and tree.tree_id not in completion:
+                completion[tree.tree_id] = r
+        elif at < r:
+            redundant.append(Send(r, u, v, mid))
     return arrived, violations, redundant, completion
 
 
@@ -177,17 +223,24 @@ def knowledge_at(
     return {v: frozenset(ms) for v, ms in holds.items()}
 
 
+@_gc_paused
 def schedule_to_json(schedule: Schedule) -> str:
     """Canonical JSON: sends in (round, u, v) order, ties in schedule order,
     keys sorted, no spaces."""
-    sends = schedule.sends
-    # sends in whole-tuple order are in (round, u, v) order, ties kept
-    if not all(map(le, sends, islice(sends, 1, None))):
-        sends = sorted(sends, key=_by_round_u_v)
-    body = ",".join(
-        [f'{{"from":{u},"msg":{m},"round":{r},"to":{v}}}' for r, u, v, m in sends]
-    )
-    return f'{{"length":{schedule.declared_length},"sends":[{body}]}}'
+    rows = zip(*schedule.columns)
+    # rows in whole-tuple order are in (round, u, v) order, ties kept
+    if not all(map(le, zip(*schedule.columns), islice(zip(*schedule.columns), 1, None))):
+        rows = iter(sorted(rows, key=_by_round_u_v))
+    # one batch of sends at a time, each send after a comma; the first drops its comma
+    parts = [f'{{"length":{schedule.declared_length},"sends":[']
+    for batch in iter(lambda: list(islice(rows, 4096)), []):
+        parts.append(
+            "".join([f',{{"from":{u},"msg":{m},"round":{r},"to":{v}}}' for r, u, v, m in batch])
+        )
+    if len(parts) > 1:
+        parts[1] = parts[1][1:]
+    parts.append("]}")
+    return "".join(parts)
 
 
 _SCHEDULE = {"length": ("an integer", REQUIRED), "sends": ("a list", REQUIRED)}
@@ -210,4 +263,9 @@ def schedule_from_json(text: str) -> Schedule:
     if not ok:
         for i, s in enumerate(raw):
             read_object(s, f"send {i}: ", _SEND)
-    return Schedule(tuple(sorted(map(Send._make, rows), key=_by_round_u_v)), length)
+    try:
+        return Schedule(sorted(rows, key=_by_round_u_v), length)
+    except OverflowError:  # the columns hold 64-bit integers
+        i, key = next((i, k) for i, row in enumerate(rows)
+                      for k, x in zip(_SEND, row) if not -(2**63) <= x < 2**63)
+        raise ValueError(f"send {i}: {key!r} is outside the 64-bit range") from None

@@ -6,12 +6,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .decomposition import PathDecomposition, short_decomposition
 from .model import MulticastInstance, log2_ceil, norm_edge
-from .schedule import Schedule, Send, _gc_paused
+from .schedule import Schedule, _append_round, _gc_paused, _new_columns
 
 
 class SeedSearchError(RuntimeError):
@@ -45,7 +46,7 @@ def _route(sources, below, value) -> Schedule:
             hop = (value(key, c, depth + 1), key, mid, node, c, depth + 1)
             heapq.heappush(waiting.setdefault(norm_edge(node, c), []), hop)
 
-    sends = []  # one send per edge and round
+    columns = _new_columns()  # one send per edge and round
     rnd, last_start = min(release, default=1) - 1, max(release, default=0)
     while waiting or rnd < last_start:
         rnd += 1
@@ -57,11 +58,12 @@ def _route(sources, below, value) -> Schedule:
             moved.append(heapq.heappop(heap))
             if not heap:
                 del waiting[edge]
+        rows = []
         for _, key, mid, parent, child, depth in moved:
-            sends.append(Send(rnd, parent, child, mid))
+            rows.append((parent, child, mid))
             arm(key, mid, child, depth)
-    sends.sort()
-    return Schedule(tuple(sends), sends[-1].round if sends else 0)
+        _append_round(columns, rnd, rows)
+    return Schedule._of(columns, columns[0][-1] if columns[0] else 0)
 
 
 def _route_instance(instance: MulticastInstance, start, value) -> Schedule:
@@ -106,13 +108,14 @@ def random_delay_schedule(instance: MulticastInstance, seed: int) -> Schedule:
 def _route_single_hops(seqs, mids, on_edge, start) -> Schedule:
     """`_route` for jobs of at most one hop, all released in round start + 1:
     each edge sends its jobs one per round, in index order.
-    on_edge: edge -> its jobs in index order."""
-    sends = sorted(
-        Send(rnd, *seqs[jid], mids[jid])
-        for jobs in on_edge.values()
-        for rnd, jid in enumerate(jobs, start + 1)
-    )
-    return Schedule(tuple(sends), sends[-1].round if sends else 0)
+    on_edge: edge -> its jobs in index order, at least one."""
+    columns = _new_columns()
+    queues, sent = list(on_edge.values()), 0  # edges with jobs left; jobs each has sent
+    while queues:
+        _append_round(columns, start + sent + 1, [(*seqs[q[sent]], mids[q[sent]]) for q in queues])
+        sent += 1
+        queues = [q for q in queues if len(q) > sent]
+    return Schedule._of(columns, start + sent if sent else 0)
 
 
 def unicast_frame_schedule(
@@ -181,15 +184,17 @@ def build_short_decompositions(
     }
 
 
-def _frames(decomps, offsets) -> dict[int, list[tuple[int, int]]]:
+def _frames(decomps, offsets) -> dict[int, tuple[array, array]]:
     """Group the chunks into frames: chunk `pidx` of tree `tid` runs in frame
-    level + offsets[tid]. Frames ascend, and so do the (tree id, path index)
-    keys in each."""
-    by_frame = defaultdict(list)
+    level + offsets[tid]. Frames ascend, and each holds its chunks' keys as a
+    column of tree ids and one of path indices, in (tree id, path index) order."""
+    by_frame = defaultdict(lambda: (array("q"), array("q")))
     for tid in sorted(decomps):
         level, offset = decomps[tid].level, offsets[tid]
         for pidx in range(len(decomps[tid].paths)):
-            by_frame[level[pidx] + offset].append((tid, pidx))
+            tids, pidxs = by_frame[level[pidx] + offset]
+            tids.append(tid)
+            pidxs.append(pidx)
     return {f: by_frame[f] for f in sorted(by_frame)}
 
 
@@ -212,12 +217,12 @@ def frame_schedule_from_decomps(
 
     by_id = instance.tree_by_id
     delivered = {t.tree_id: {t.root} for t in instance.trees}
-    sends: list[Send] = []
+    columns = _new_columns()
     congestion: dict[int, int] = {}  # frame -> C'
     clock = start
     for f, keys in frames.items():
         paths = []
-        for tid, pidx in keys:
+        for tid, pidx in zip(*keys):
             seq = decomps[tid].paths[pidx]
             if seq[0] not in delivered[tid]:
                 raise AssertionError(
@@ -225,7 +230,8 @@ def frame_schedule_from_decomps(
                 )
             paths.append((seq[0], seq, by_id[tid].message_id))
         frag, congestion[f] = unicast_frame_schedule(paths, rng, clock)
-        sends.extend(frag.sends)  # rounds after the clock, in (round, u, v) order
+        for column, part in zip(columns, frag.columns):
+            column.extend(part)  # rounds after the clock, in (round, u, v) order
         length = max(frag.declared_length - clock, 0)
         if fixed_frame_length is not None:
             if length > fixed_frame_length:
@@ -236,9 +242,9 @@ def frame_schedule_from_decomps(
             clock += fixed_frame_length
         else:
             clock += length
-        for tid, pidx in keys:
+        for tid, pidx in zip(*keys):
             delivered[tid].update(decomps[tid].paths[pidx])
-    return Schedule(tuple(sends), sends[-1].round if sends else start), congestion
+    return Schedule._of(columns, columns[0][-1] if columns[0] else start), congestion
 
 
 def frame_multicast_schedule(
@@ -264,7 +270,7 @@ def frame_congestion_profile(decomps, offsets) -> dict[int, int]:
     profile = {}
     for f, keys in _frames(decomps, offsets).items():
         load: Counter = Counter()
-        for tid, pidx in keys:
+        for tid, pidx in zip(*keys):
             seq = decomps[tid].paths[pidx]
             load.update(map(norm_edge, seq, seq[1:]))
         profile[f] = max(load.values(), default=0)

@@ -324,6 +324,17 @@ def test_non_integer_instance_field_exits_one(runner, tmp_path, edit, message):
     _assert_clean_error(res, "cannot read instance", message)
 
 
+@pytest.mark.parametrize("scheduler", ["greedy", "frames"])
+def test_schedule_of_message_id_beyond_64_bits_exits_one(runner, tmp_path, scheduler):
+    """The instance is valid, but a schedule keeps 64-bit integers."""
+    doc = json.loads(instance_to_json(shared_edge_instance()))
+    doc["trees"][1]["msg"] = 2**63
+    inst_file = tmp_path / "big.json"
+    inst_file.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["schedule", str(inst_file), "--scheduler", scheduler])
+    _assert_clean_error(res, "ids must be below 2**63")
+
+
 @pytest.mark.parametrize("command", ["validate", "markov-check"])
 def test_sends_as_string_exits_one(runner, tmp_path, command):
     # defect (c): `sends` given as a string
@@ -339,9 +350,11 @@ def test_sends_as_string_exits_one(runner, tmp_path, command):
 @pytest.mark.parametrize(
     "key, value",
     [("round", "1"), ("from", "a"), ("to", None), ("msg", [1]), ("round", 1.5),
-     ("round", True), ("length", "1"), ("length", -1), ("lenght", 3), ("mesg", 1)],
+     ("round", True), ("length", "1"), ("length", -1), ("lenght", 3), ("mesg", 1),
+     ("round", 2**63), ("to", -(2**63) - 1)],
     ids=["round-str", "from-str", "to-null", "msg-list", "round-float",
-         "round-bool", "length-str", "length-negative", "unknown-key", "send-unknown-key"],
+         "round-bool", "length-str", "length-negative", "unknown-key", "send-unknown-key",
+         "round-beyond-64-bit", "to-beyond-64-bit"],
 )
 def test_non_integer_schedule_field_exits_one(runner, tmp_path, command, key, value):
     inst_file = tmp_path / "shared_edge.json"

@@ -587,19 +587,24 @@ def renumbered(instance, ids):
     return MulticastInstance.build(instance.graph, trees)
 
 
-def frame_trees(monkeypatch, inst, epsilon=0.25, seed=0):
-    """The trees of each frame that a depths-known run hands the frames driver."""
+def frame_instances(monkeypatch, inst, epsilon=0.25, seed=0):
+    """The instance of each frame that a depths-known run hands the frames driver."""
     seen = []
     real = congest_module.frame_schedule_from_decomps
 
     def spy(sub, *args, **kwargs):
-        seen.append(sub.trees)
+        seen.append(sub)
         return real(sub, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(congest_module, "frame_schedule_from_decomps", spy)
         distributed_multicast(inst, epsilon, seed, depths_known=True)
     return seen
+
+
+def frame_trees(monkeypatch, inst, epsilon=0.25, seed=0):
+    """The trees of each frame that a depths-known run hands the frames driver."""
+    return [sub.trees for sub in frame_instances(monkeypatch, inst, epsilon, seed)]
 
 
 def with_root_only_trees(instance):
@@ -643,6 +648,20 @@ def test_one_frame_run_schedules_the_instances_own_trees(monkeypatch):
     (trees,) = frame_trees(monkeypatch, inst)
     assert len(trees) == len(inst.trees)
     assert all(a is b for a, b in zip(trees, inst.trees))
+
+
+def test_one_frame_run_hands_the_driver_the_callers_instance(monkeypatch):
+    """A frame that is the instance's own trees, in order, is routed as the
+    caller's instance, whose metrics and tree_by_id are cached already; the
+    schedule stays the slice-every-tree reference's, byte for byte. A frame
+    that reuses only some trees is a new instance."""
+    inst = one_frame_instance()
+    (sub,) = frame_instances(monkeypatch, inst)
+    assert sub is inst
+    assert_matches_reference(inst, 0.25, 0)
+    shuffled = REUSE_EXAMPLES["shuffled"]()
+    (sub,) = frame_instances(monkeypatch, shuffled)
+    assert sub is not shuffled and sub.graph is shuffled.graph
 
 
 @settings(max_examples=100, deadline=None)

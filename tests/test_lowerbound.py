@@ -1,9 +1,12 @@
 import itertools
 import math
+import random
 from collections import Counter, defaultdict
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcastsched import (
     Graph,
@@ -21,13 +24,18 @@ from mcastsched import (
     interleavings,
     markov_delay_check,
     norm_edge,
+    MarkovReport,
+    Schedule,
     pad_to_n,
     predicted_edge_count,
     random_delay_schedule,
     simulate,
     validate_instance,
 )
+from mcastsched.lowerbound import EdgeDelayResult
 from conftest import schedule_of, shared_edge_instance
+from test_golden import CORPUS
+from test_schedule import REPLAY_SCHEDULERS, corpus_case, replay_instances
 
 
 # --- oracles ---------------------------------------------------------------
@@ -321,6 +329,102 @@ def test_markov_detects_overfast_crossing():
     cheat = schedule_of([Send(1, 0, 1, 0), Send(1, 0, 1, 1)])
     assert not simulate(fig, cheat).valid  # capacity violation
     assert not markov_delay_check(fig, cheat).passed
+
+
+# --- differential: the Markov check against the body it replaced -----------
+# The check once sorted every send by round, keyed receipts by (node,
+# message) and listed (tree, parent, child) per tree edge; that body is kept
+# verbatim as the reference.
+
+def reference_markov(
+    instance: MulticastInstance, schedule: Schedule
+) -> MarkovReport:
+    """For each edge shared by c >= 2 trees: after floor(c/2) rounds from the
+    first round any of its messages could cross, at least ceil(c/2) of those
+    trees must not have crossed yet (at most one message per round crossed)."""
+    receipt: dict[tuple[int, int], int] = {}
+    for s in sorted(schedule.sends, key=lambda s: s.round):
+        key = (s.v, s.message_id)
+        if key not in receipt:
+            receipt[key] = s.round
+
+    users: dict[tuple[int, int], list[tuple[int, int, int]]] = defaultdict(list)
+    for t in instance.trees:
+        for c, p in t.parent.items():
+            if c in t.depth and c != t.root:
+                users[norm_edge(c, p)].append((t.tree_id, p, c))
+
+    results = []
+    for edge, lst in sorted(users.items()):
+        c = len(lst)
+        if c < 2:
+            continue
+        first = min(
+            instance.tree_by_id[tid].depth[parent] + 1 for tid, parent, _ in lst
+        )
+        need = math.ceil(c / 2)
+        # after floor(c/2) rounds from `first`, at most floor(c/2) messages
+        # crossed, so at least ceil(c/2) trees are still waiting
+        check_round = first + c // 2 - 1
+        delayed = tuple(
+            tid
+            for tid, _, child in lst
+            if receipt.get(
+                (child, instance.tree_by_id[tid].message_id), math.inf
+            )
+            > check_round
+        )
+        results.append(EdgeDelayResult(edge, c, check_round, delayed, need))
+    return MarkovReport(results)
+
+
+def perturbed(schedule, how, rng):
+    """The schedule's sends shuffled, with some sent again, or with some
+    moved to random rounds from 0 to two past its length."""
+    sends, length = list(schedule.sends), schedule.declared_length
+    k = max(1, len(sends) // 8)
+    if how == "shuffle":
+        rng.shuffle(sends)
+    elif how == "repeat" and sends:  # a delivery made again, in its round or later
+        for s in rng.choices(sends, k=k):
+            sends.insert(rng.randrange(len(sends) + 1), s._replace(round=s.round + rng.randrange(3)))
+    elif how == "reround":
+        for i in rng.sample(range(len(sends)), min(k, len(sends))):
+            sends[i] = sends[i]._replace(round=rng.randrange(length + 3))
+    return Schedule(tuple(sends), length)
+
+
+PERTURBATIONS = (None, "shuffle", "repeat", "reround")
+
+
+def assert_markov_like_reference(instance, schedule):
+    got, want = markov_delay_check(instance, schedule), reference_markov(instance, schedule)
+    assert [r.edge for r in got.per_edge] == [r.edge for r in want.per_edge]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_markov_matches_reference_on_corpus(name):
+    """Every scheduler's schedule as it is, and perturbed in one of the
+    three ways, each way on two of the six schedulers."""
+    rng = random.Random(name)
+    instance, schedules = corpus_case(name)
+    for k, schedule in enumerate(schedules.values()):
+        assert_markov_like_reference(instance, schedule)
+        how = PERTURBATIONS[1 + k % 3]
+        assert_markov_like_reference(instance, perturbed(schedule, how, rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inst=replay_instances,
+    scheduler=st.sampled_from(sorted(REPLAY_SCHEDULERS)),
+    how=st.sampled_from(PERTURBATIONS),
+    seed=st.integers(0, 10**6),
+)
+def test_markov_matches_reference(inst, scheduler, how, seed):
+    schedule = REPLAY_SCHEDULERS[scheduler](inst, seed)
+    assert_markov_like_reference(inst, perturbed(schedule, how, random.Random(seed)))
 
 
 # --- exhaustive optimum ----------------------------------------------------

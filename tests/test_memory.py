@@ -1,9 +1,10 @@
 """What a run holds: one object per repeated value, and bounds on the heap.
 
 A loaded instance keeps one int per node id, trees build their edge sets on
-read instead of keeping them, and a CONGEST transcript keeps one key tuple
-per directed edge and one string per distinct payload. The live-heap bounds
-sit between this layout and the one that kept a copy per occurrence.
+read instead of keeping them, a CONGEST transcript keeps one key tuple per
+directed edge and one string per distinct payload, and a schedule keeps its
+sends as four integer columns. The live-heap bounds sit between this layout
+and the one that kept a copy per occurrence or a tuple per send.
 """
 
 import gc
@@ -20,6 +21,7 @@ from mcastsched import (
     greedy_schedule,
     instance_from_json,
     instance_to_json,
+    schedule_to_json,
     simulate,
     validate_instance,
 )
@@ -95,7 +97,10 @@ def test_huge_node_count_costs_nothing_per_node():
 # On gen_random_instance(2000, 60, 12, 0), with Python 3.11: load, validate and
 # metrics leave 7.3 MB live (13.4 MB when each occurrence of a node id was its
 # own int and each tree kept its edge set); the three transcripts hold 5.6 MB
-# (17.5 MB with one key tuple and one string per message).
+# (17.5 MB with one key tuple and one string per message); the greedy
+# schedule's 42,200 sends hold 1.33 MB (3.54 MB as a tuple of `Send`), and
+# writing it as JSON peaks at 3.66 MB, of which the text is 1.69 MB (5.65 MB
+# when the emitter built one string per send and joined the body twice).
 
 @pytest.fixture(scope="module")
 def congest_text():
@@ -133,3 +138,27 @@ def test_transcripts_live_heap(congest_text):
     )
     assert len(transcripts) == 3
     assert mb <= 7.5, mb
+
+
+@pytest.fixture(scope="module")
+def congest_greedy(congest_text):
+    return greedy_schedule(load_validate_metrics(congest_text))
+
+
+def test_schedule_live_heap(congest_text):
+    inst = load_validate_metrics(congest_text)
+    schedule, mb = live_heap(lambda: greedy_schedule(inst))
+    assert len(schedule.columns[0]) == 42_200
+    assert mb <= 1.6, mb
+
+
+def test_schedule_emit_peak(congest_greedy):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = schedule_to_json(congest_greedy)
+        peak = tracemalloc.get_traced_memory()[1] / MB
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1.6 * MB
+    assert peak <= 4.5, peak

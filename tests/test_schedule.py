@@ -1,5 +1,7 @@
+import functools
 import gc
 import json
+import pickle
 import random
 from collections import defaultdict
 from dataclasses import fields
@@ -339,6 +341,53 @@ def test_send_contract():
     ]
 
 
+# --- Schedule keeps its sends as integer columns ----------------------------
+
+def test_schedule_keeps_given_sends_in_order():
+    sends = (Send(2, 1, 2, 0), Send(1, 0, 1, 7), (2, 0, 1, 3), Send(1, 0, 1, 4))
+    sched = Schedule(sends, 2)
+    assert sched.sends == tuple(sends)
+    assert all(type(s) is Send for s in sched.sends)
+    assert Schedule(iter(sends), 2) == sched  # any iterable of 4-tuples
+    assert Schedule(sends=[], declared_length=3).sends == ()
+
+
+def test_built_schedule_equals_one_built_from_its_sends():
+    inst = gen_random_instance(60, 6, 5, 3)
+    for scheduler in sorted(SCHEDULERS):
+        built = SCHEDULERS[scheduler](inst, 1)
+        again = Schedule(built.sends, built.declared_length)
+        assert again == built and hash(again) == hash(built)
+        assert again != Schedule(built.sends, built.declared_length + 1)
+        assert again != Schedule(built.sends[:-1], built.declared_length)
+
+
+def test_schedule_pickles_and_hashes_like_its_sends():
+    sched = greedy_schedule(gen_random_instance(40, 4, 4, 0))
+    back = pickle.loads(pickle.dumps(sched))
+    assert back == sched and back.sends == sched.sends
+    assert hash(back) == hash(sched)
+    assert len({sched, back, Schedule(sched.sends, sched.declared_length)}) == 1
+    swapped = Schedule(reversed(sched.sends), sched.declared_length)
+    assert swapped != sched  # the same sends in another order
+
+
+def test_schedule_keeps_node_ids_beyond_32_bits():
+    big = (Send(1, 5, 7, 10**12), Send(2, 7, 10**11, 2**63 - 1), Send(0, -(2**63), 1, 0))
+    sched = Schedule(big, 2)
+    assert sched.sends == big
+    assert schedule_from_json(schedule_to_json(sched)).sends == tuple(sorted(big))
+    with pytest.raises(OverflowError):
+        Schedule([Send(1, 0, 2**63, 0)], 1)
+
+
+def test_schedule_reader_refuses_field_beyond_64_bits():
+    text = '{"length":1,"sends":[{"from":0,"msg":0,"round":1,"to":1},{"from":0,"msg":%d,"round":1,"to":1}]}'
+    with pytest.raises(ValueError, match="send 1: 'msg' is outside the 64-bit range"):
+        schedule_from_json(text % 2**63)
+    assert schedule_from_json(text % (2**63 - 1)).sends[1].message_id == 2**63 - 1
+
+
 # --- differential: the emitter against the json.dumps body it replaced -------
 
 def reference_schedule_to_json(schedule: Schedule) -> str:
@@ -350,6 +399,14 @@ def reference_schedule_to_json(schedule: Schedule) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@functools.cache
+def corpus_case(name) -> tuple[MulticastInstance, dict[str, Schedule]]:
+    """A corpus instance and every scheduler's output on it at seed 0, built
+    once per session for the tests that read them."""
+    instance = CORPUS[name]()
+    return instance, corpus_schedules(instance)
 
 
 def corpus_schedules(instance, seed=0) -> dict[str, Schedule]:
@@ -381,9 +438,9 @@ def assert_emits_like_reference(schedule: Schedule):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_emitter_matches_reference_on_corpus(name):
     rng = random.Random(name)
-    instance = CORPUS[name]()
+    instance, schedules = corpus_case(name)
     assert instance_from_json(instance_to_json(instance)) == instance  # the reader's round trip
-    for scheduler, schedule in corpus_schedules(instance).items():
+    for scheduler, schedule in schedules.items():
         assert_emits_like_reference(schedule)
         shuffled = list(schedule.sends)
         rng.shuffle(shuffled)
@@ -585,6 +642,38 @@ def test_replay_matches_reference_on_malformed_trees(inst, data):
         for a, b in ((u, v), (v, u))
     ]
     assert_replays_like_reference(inst, Schedule(tuple(data.draw(st.permutations(sends))), last))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=replay_instances,
+    scheduler=st.sampled_from(sorted(REPLAY_SCHEDULERS)),
+    how=st.sampled_from(["ascending", "permuted", "below_one", "beyond_length"]),
+    data=st.data(),
+)
+def test_replay_paths_match_reference(inst, scheduler, how, data):
+    """The replay walks the columns as they are when rounds ascend inside
+    [1, last], and otherwise filters and sorts them: both ways agree with
+    the reference, on every prefix `knowledge_at` cuts."""
+    schedule = REPLAY_SCHEDULERS[scheduler](inst, data.draw(st.integers(0, 10**6)))
+    sends, length = list(schedule.sends), schedule.declared_length
+    if how == "permuted":
+        sends = data.draw(st.permutations(sends))
+    elif sends and how != "ascending":
+        i = data.draw(st.integers(0, len(sends) - 1))
+        bad = data.draw(st.integers(-2, 0) if how == "below_one" else st.integers(length + 1, length + 3))
+        sends[i] = sends[i]._replace(round=bad)
+    schedule = Schedule(sends, length)
+    rounds = [s.round for s in sends]
+    if how == "ascending":
+        assert rounds == sorted(rounds) and all(1 <= r <= length for r in rounds)
+    report, expected = simulate(inst, schedule), reference_simulate(inst, schedule)
+    for f in fields(DeliveryReport):
+        assert getattr(report, f.name) == getattr(expected, f.name), f.name
+    cut = data.draw(st.integers(0, length + 1))
+    assert _outcome(lambda: knowledge_at(inst, schedule, cut)) == _outcome(
+        lambda: reference_knowledge_at(inst, schedule, cut)
+    )
 
 
 # --- hand-made replay cases, each against the reference ----------------------
