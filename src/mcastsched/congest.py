@@ -466,7 +466,6 @@ def distributed_rank_decomposition(
     epsilon: float = 0.25,
     seed: int = 0,
     bit_factor: int = 4,
-    max_rounds: int | None = None,
 ) -> DistributedDecomposition:
     """Three CONGEST phases: rank convergecast, preferred-edge notification,
     and top-down refinement into chunks of length ceil(log2(n)^(1+epsilon)).
@@ -477,10 +476,9 @@ def distributed_rank_decomposition(
     network = CongestNetwork(instance.graph, bit_factor)
     params = _make_params(instance, chunk_length, network.bits_per_edge_per_round)
     offsets = tree_offsets(instance, seed, params.congestion)
-    if max_rounds is None:
-        max_rounds = 256 + 64 * (params.congestion + params.dilation)
 
-    records = {v: _NodeRecord() for v in range(n)}
+    # nodes in no tree never send or receive; ascending ids keep the step order
+    records = {v: _NodeRecord() for v in sorted({v for t in instance.trees for v in t.depth})}
     for t in instance.trees:
         for v in t.depth:
             parent = None if v == t.root else t.parent[v]
@@ -489,7 +487,7 @@ def distributed_rank_decomposition(
         run_congest(
             network,
             {v: phase(rec, params, offsets) for v, rec in records.items()},
-            max_rounds,
+            256 + 64 * (params.congestion + params.dilation),
         )
         for phase in (_RankProgram, _PreferredProgram, _RefineProgram)
     ]

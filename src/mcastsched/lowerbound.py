@@ -7,7 +7,6 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter, le
 
 from .model import (
     Graph,
@@ -213,12 +212,11 @@ def markov_delay_check(
     first round any of its messages could cross, at least ceil(c/2) of those
     trees must not have crossed yet (at most one message per round crossed)."""
     rounds, _, receivers, mids = schedule.columns
-    rows = zip(rounds, receivers, mids)
-    if not all(map(le, rounds, itertools.islice(rounds, 1, None))):
-        rows = sorted(rows, key=itemgetter(0))
-    receipt: dict[int, dict[int, int]] = defaultdict(dict)  # message -> node -> round
-    for r, v, mid in rows:
-        receipt[mid].setdefault(v, r)
+    receipt: dict[int, dict[int, int]] = defaultdict(dict)  # message -> node -> first round
+    for r, v, mid in zip(rounds, receivers, mids):
+        got = receipt[mid]
+        if r < got.get(v, math.inf):
+            got[v] = r
 
     # each node c below a tree's root names one tree edge, which a message
     # could cross first in round depth(c)
@@ -252,8 +250,16 @@ def markov_delay_check(
 def exhaustive_opt(
     instance: MulticastInstance, horizon: int
 ) -> int | None:
-    """Exact minimum schedule length by branch and bound over per-round edge
-    assignments; None if no schedule of length <= horizon exists.
+    """Exact minimum schedule length by a round-by-round search over knowledge
+    states, the sets of (node, message) pairs held; None if no schedule of
+    length <= horizon exists. Each round, every edge with a message to move
+    sends exactly one, in either direction.
+
+    Knowledge only grows and an extra send never delays anyone, so a state
+    contained in one reached no later cannot finish sooner, and is dropped.
+    By induction on r, every state reachable in r rounds is contained in a
+    kept state of round <= r, so the first round in which a new state holds
+    the goal is the optimum.
 
     Guarded to toy sizes: <= 12 edges, <= 6 messages, horizon <= 8.
     """
@@ -269,53 +275,28 @@ def exhaustive_opt(
         (leaf, t.message_id) for t in trees for leaf in t.leaves if leaf != t.root
     )
     start = frozenset((t.root, t.message_id) for t in trees)
-    tree_edges = {t.message_id: t.edges for t in trees}
-    edges = sorted(instance.graph.edges)
-
-    best = [None]
-    visited: dict[int, list[frozenset]] = defaultdict(list)
-
-    def dominated(state, rnd) -> bool:
-        for r in range(1, rnd + 1):
-            for s in visited[r]:
-                if state <= s:
-                    return True
-        visited[rnd].append(state)
-        return False
-
-    def options(state, edge):
-        u, v = edge
-        out = []
-        for t in trees:
-            m = t.message_id
-            if edge not in tree_edges[m]:
-                continue
-            if (u, m) in state and (v, m) not in state:
-                out.append((u, v, m))
-            if (v, m) in state and (u, m) not in state:
-                out.append((v, u, m))
-        return out
-
-    def dfs(state, rnd):
-        if goal <= state:
-            if best[0] is None or rnd < best[0]:
-                best[0] = rnd
-            return
-        if rnd >= horizon or (best[0] is not None and rnd + 1 >= best[0]):
-            return
-        per_edge = [o for o in (options(state, e) for e in edges) if o]
-        if not per_edge:
-            return
-        for combo in itertools.product(*per_edge):
-            new = set(state)
-            for _, v, m in combo:
-                new.add((v, m))
-            new = frozenset(new)
-            if dominated(new, rnd + 1):
-                continue
-            dfs(new, rnd + 1)
-
     if goal <= start:
         return 0
-    dfs(start, 0)
-    return best[0]
+    tree_edges = [(t.message_id, t.edges) for t in trees]  # `edges` is built on each read
+    edges = [(u, v, [m for m, es in tree_edges if (u, v) in es])  # the messages using it
+             for u, v in sorted(instance.graph.edges)]
+
+    reached, frontier = [start], [start]  # kept states of all rounds; of the last one
+    for r in range(1, horizon + 1):
+        layer: list[frozenset] = []  # this round's maximal new states
+        for state in frontier:
+            moves = []  # per edge: the (receiver, message) deliveries it may make
+            for u, v, mids in edges:
+                out = [(v, m) if (u, m) in state else (u, m)
+                       for m in mids if ((u, m) in state) != ((v, m) in state)]
+                if out:
+                    moves.append(out)
+            for combo in itertools.product(*moves):
+                new = state.union(combo)
+                if goal <= new:
+                    return r
+                if not any(new <= s for s in itertools.chain(reached, layer)):
+                    layer = [s for s in layer if not s <= new] + [new]
+        reached += layer
+        frontier = sorted(layer, key=len, reverse=True)
+    return None

@@ -131,7 +131,8 @@ def unicast_frame_schedule(
     first; if that takes more than the C'*D' rounds of plain greedy
     routing, the frame is routed again with zero delays. A frame with
     D' <= 1 is one queue per edge, whose busiest edge needs C' rounds: zero
-    delays take exactly that, so each edge sends its jobs in index order.
+    delays take exactly that, so each edge sends its jobs in index order,
+    and the frame draws nothing from rng.
     """
     seqs, mids = [], []
     for src, seq, mid in frame_paths:
@@ -147,14 +148,11 @@ def unicast_frame_schedule(
             if len(seq) == 2:
                 on_edge[norm_edge(*seq)].append(jid)
         cprime = max(map(len, on_edge.values()), default=0)
-    else:
-        load = Counter(norm_edge(a, b) for seq in seqs for a, b in zip(seq, seq[1:]))
-        cprime = max(load.values())
-
-    # every frame draws its delays, so later frames read the same rng stream
-    delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
-    if dprime <= 1:
         return _route_single_hops(seqs, mids, on_edge, start), cprime
+
+    load = Counter(norm_edge(a, b) for seq in seqs for a, b in zip(seq, seq[1:]))
+    cprime = max(load.values())
+    delays = [rng.randrange(cprime) if cprime > 1 else 0 for _ in seqs]
 
     def route(delays):
         return _route(
@@ -212,7 +210,7 @@ def frame_schedule_from_decomps(
     sequentially, each as a simultaneous-unicast sub-problem routed from the
     round where the previous frame ended. The first frame begins after round
     `start`. Returns the schedule and each routed frame's congestion C'."""
-    rng = random.Random(seed)  # draws the offsets, then every frame's delays
+    rng = random.Random(seed)  # draws the offsets, then the delays of each frame with D' >= 2
     frames = _frames(decomps, _draw_offsets(instance, ell, rng))
 
     by_id = instance.tree_by_id

@@ -17,6 +17,7 @@ from mcastsched import (
     MulticastTree,
     RoundLimitError,
     Send,
+    build_lowerbound,
     compute_metrics,
     decomposition_to_json,
     distributed_multicast,
@@ -29,6 +30,7 @@ from mcastsched import (
     log2_ceil,
     message_size_audit,
     norm_edge,
+    pad_to_n,
     rank_decomposition,
     run_congest,
     schedule_to_json,
@@ -368,10 +370,29 @@ def test_phase_programs_die_with_their_phase(monkeypatch):
 def test_event_driver_steps_well_below_lockstep():
     inst = gen_random_instance(300, 20, 8, 0)
     dist = distributed_rank_decomposition(inst, seed=0)
-    programs = inst.graph.node_count
+    programs = len({v for t in inst.trees for v in t.depth})  # nodes in some tree
+    assert programs == 289
     assert all(tr.steps >= programs for tr in dist.transcripts)  # round 0
     steps = sum(tr.steps for tr in dist.transcripts)
     assert 4 * steps < programs * dist.rounds
+
+
+def test_round_zero_steps_exactly_the_tree_nodes(monkeypatch):
+    """Every phase runs one program per node of some tree, in ascending id
+    order; a node in no tree never sends or receives, so it gets none."""
+    inst = pad_to_n(build_lowerbound(2, 2), 1000)
+    tree_nodes = sorted({v for t in inst.trees for v in t.depth})
+    stepped = []  # per phase: the nodes stepped in round 0
+    run = congest_module.run_congest
+
+    def spy(network, programs, max_rounds):
+        stepped.append(list(programs))  # round 0 steps every program, in this order
+        return run(network, programs, max_rounds)
+
+    monkeypatch.setattr(congest_module, "run_congest", spy)
+    distributed_rank_decomposition(inst, seed=0)
+    assert len(tree_nodes) < 100
+    assert stepped == [tree_nodes] * 3
 
 
 # --- distributed multicast -------------------------------------------------

@@ -17,6 +17,7 @@ from mcastsched import (
     check_lemmas,
     compute_metrics,
     exhaustive_opt,
+    gen_layered_instance,
     gen_random_instance,
     greedy_schedule,
     instance_to_json,
@@ -451,3 +452,126 @@ def test_opt_guards():
         exhaustive_opt(build_lowerbound(2, 3).instance, 8)
     with pytest.raises(ValueError):
         exhaustive_opt(shared_edge_instance(), 99)
+
+
+# --- differential: the exhaustive optimum against the search it replaced ----
+# The optimum was once a recursive branch and bound over per-round edge
+# assignments; that body is kept verbatim as the reference.
+
+def reference_exhaustive_opt(
+    instance: MulticastInstance, horizon: int
+) -> int | None:
+    """Exact minimum schedule length by branch and bound over per-round edge
+    assignments; None if no schedule of length <= horizon exists.
+
+    Guarded to toy sizes: <= 12 edges, <= 6 messages, horizon <= 8.
+    """
+    if len(instance.graph.edges) > 12:
+        raise ValueError("too many edges for exhaustive search (max 12)")
+    if len(instance.trees) > 6:
+        raise ValueError("too many messages for exhaustive search (max 6)")
+    if horizon > 8:
+        raise ValueError("horizon too large for exhaustive search (max 8)")
+
+    trees = instance.trees
+    goal = frozenset(
+        (leaf, t.message_id) for t in trees for leaf in t.leaves if leaf != t.root
+    )
+    start = frozenset((t.root, t.message_id) for t in trees)
+    tree_edges = {t.message_id: t.edges for t in trees}
+    edges = sorted(instance.graph.edges)
+
+    best = [None]
+    visited: dict[int, list[frozenset]] = defaultdict(list)
+
+    def dominated(state, rnd) -> bool:
+        for r in range(1, rnd + 1):
+            for s in visited[r]:
+                if state <= s:
+                    return True
+        visited[rnd].append(state)
+        return False
+
+    def options(state, edge):
+        u, v = edge
+        out = []
+        for t in trees:
+            m = t.message_id
+            if edge not in tree_edges[m]:
+                continue
+            if (u, m) in state and (v, m) not in state:
+                out.append((u, v, m))
+            if (v, m) in state and (u, m) not in state:
+                out.append((v, u, m))
+        return out
+
+    def dfs(state, rnd):
+        if goal <= state:
+            if best[0] is None or rnd < best[0]:
+                best[0] = rnd
+            return
+        if rnd >= horizon or (best[0] is not None and rnd + 1 >= best[0]):
+            return
+        per_edge = [o for o in (options(state, e) for e in edges) if o]
+        if not per_edge:
+            return
+        for combo in itertools.product(*per_edge):
+            new = set(state)
+            for _, v, m in combo:
+                new.add((v, m))
+            new = frozenset(new)
+            if dominated(new, rnd + 1):
+                continue
+            dfs(new, rnd + 1)
+
+    if goal <= start:
+        return 0
+    dfs(start, 0)
+    return best[0]
+
+
+def opt_sweep_instances():
+    """400 random draws kept at <= 12 edges, three lower-bound members and 40
+    layered instances: the toy sizes the search is guarded to."""
+    rng = random.Random(1)
+    out = []
+    for _ in range(400):
+        n = rng.randrange(2, 9)
+        k = rng.randrange(1, 5)
+        d = rng.randrange(1, min(4, n - 1) + 1)
+        inst = gen_random_instance(n, k, d, rng.randrange(10**6))
+        if len(inst.graph.edges) <= 12:
+            out.append(inst)
+    out += [build_lowerbound(c, d).instance for c, d in ((2, 1), (2, 2), (4, 1))]
+    for s in range(20):
+        out += [gen_layered_instance(8, 4, 5, s), gen_layered_instance(10, 6, 6, s, 3)]
+    return out
+
+
+def test_opt_matches_reference_on_sweep():
+    instances = opt_sweep_instances()
+    assert len(instances) == 443
+    optima = set()
+    for inst in instances:
+        for horizon in (8, 3):
+            got = exhaustive_opt(inst, horizon)
+            assert got == reference_exhaustive_opt(inst, horizon)
+            optima.add(got)
+    assert optima == {None, *range(1, 8)}  # every optimum from 1 to 7, and None
+
+
+opt_instances = st.one_of(
+    st.builds(
+        lambda n, k, d, seed: gen_random_instance(n, k, min(d, n - 1), seed),
+        st.integers(2, 8), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6),
+    ).filter(lambda inst: len(inst.graph.edges) <= 12),
+    st.sampled_from([(2, 1), (2, 2), (4, 1)]).map(lambda cd: build_lowerbound(*cd).instance),
+    st.builds(gen_layered_instance, st.just(8), st.just(4), st.just(5), st.integers(0, 10**6)),
+    st.builds(gen_layered_instance, st.just(10), st.just(6), st.just(6), st.integers(0, 10**6), st.just(3)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=opt_instances, horizon=st.integers(0, 8))
+def test_opt_matches_reference(inst, horizon):
+    assert exhaustive_opt(inst, horizon) == reference_exhaustive_opt(inst, horizon)

@@ -15,12 +15,14 @@ from collections import defaultdict
 import pytest
 
 from mcastsched import (
+    build_lowerbound,
     compute_metrics,
     distributed_rank_decomposition,
     gen_random_instance,
     greedy_schedule,
     instance_from_json,
     instance_to_json,
+    pad_to_n,
     schedule_to_json,
     simulate,
     validate_instance,
@@ -91,6 +93,23 @@ def test_huge_node_count_costs_nothing_per_node():
         tracemalloc.stop()
     assert schedule.declared_length == 2
     assert peak <= 1 * MB, peak
+
+
+def test_decomposition_costs_nothing_per_idle_node():
+    """Only nodes of some tree get a record and a program, so padding the
+    graph with nodes in no tree adds nothing (a 116 MB peak at this size when
+    every node had one)."""
+    inst = pad_to_n(build_lowerbound(2, 2), 100_000)
+    compute_metrics(inst)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dist = distributed_rank_decomposition(inst, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.rounds == 16
+    assert peak <= 2 * MB, peak
 
 
 # --- bounds on the live heap ---------------------------------------------------

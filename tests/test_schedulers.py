@@ -1,3 +1,4 @@
+import copy
 import functools
 import gc
 import multiprocessing
@@ -582,16 +583,18 @@ def send_counts(schedule):
 def test_unicast_frame_matches_reference(n, k, max_hops, seed):
     """A frame with D' >= 2 gives the old rule's schedule. A one-hop frame
     keeps the old rule's length and sends, in an order that may differ: its
-    edges send with zero delays, as `_route` does with zero delays."""
+    edges send with zero delays, as `_route` does with zero delays, and it
+    leaves the rng untouched."""
     paths = random_frame(random.Random(seed), n, k, max_hops)
     ref_rng, rng = random.Random(seed), random.Random(seed)
     want, _ = reference_unicast_frame(paths, ref_rng)
     got, _ = unicast_frame_schedule(paths, rng)
-    assert rng.getstate() == ref_rng.getstate()
     seqs = [seq for _, seq, _ in paths]
     if max(map(len, seqs), default=1) >= 3:
+        assert rng.getstate() == ref_rng.getstate()
         assert got == want
         return
+    assert rng.getstate() == random.Random(seed).getstate()
     assert got.declared_length == want.declared_length
     assert send_counts(got) == send_counts(want)
     mids = [mid for _, _, mid in paths]
@@ -619,15 +622,12 @@ def test_unicast_frame_matches_reference_when_fallback_fires():
 
 def check_single_hop_frame(paths, seed, start):
     """A frame with D' <= 1 gives `_route`'s zero-delay schedule, takes C'
-    rounds and leaves the rng where drawing its delays does; returns (an
-    edge used both ways, a zero-hop job)."""
+    rounds and draws nothing from the rng; returns (an edge used both ways,
+    a zero-hop job)."""
     seqs = [seq for _, seq, _ in paths]
     mids = [mid for _, _, mid in paths]
     cprime = max(Counter(norm_edge(*seq) for seq in seqs if len(seq) == 2).values(), default=0)
     rng, want_rng = random.Random(seed), random.Random(seed)
-    for _ in seqs:
-        if cprime > 1:
-            want_rng.randrange(cprime)
     got, got_cprime = unicast_frame_schedule(paths, rng, start)
     assert got == _route_frame(seqs, mids, [0] * len(seqs), start)
     assert got_cprime == cprime
@@ -635,6 +635,20 @@ def check_single_hop_frame(paths, seed, start):
     assert rng.getstate() == want_rng.getstate()
     both_ways = any(seq[::-1] in seqs for seq in seqs if len(seq) == 2)
     return both_ways, any(len(seq) == 1 for seq in seqs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_hop_frame_leaves_the_stream_to_the_next_frame(seed):
+    """A D' >= 2 frame routed after a one-hop frame on the same rng equals
+    that frame routed alone on a fresh rng."""
+    draw = random.Random(seed)
+    # each frame crosses edge (0, 1) at least twice, so C' >= 2 in both
+    one_hop = random_frame(draw, 6, 8, 1) + [(0, (0, 1), 0), (1, (1, 0), 1)]
+    longer = random_frame(draw, 6, 8, 3) + [(0, (0, 1, 2), 0), (0, (0, 1, 2), 1)]
+    rng = random.Random(seed)
+    first, _ = unicast_frame_schedule(one_hop, rng)
+    second = unicast_frame_schedule(longer, rng, first.declared_length)
+    assert second == unicast_frame_schedule(longer, random.Random(seed), first.declared_length)
 
 
 @settings(max_examples=200, deadline=None)
@@ -698,7 +712,10 @@ def test_frames_route_each_frame_once(monkeypatch, seed):
 
 def old_rule_frame(frame_paths, rng, start=0):
     """`unicast_frame_schedule` under the old rule: `reference_unicast_frame`,
-    begun after round `start`."""
+    begun after round `start`. A one-hop frame draws on a copy of the rng,
+    since it no longer draws delays, so later frames read the same stream."""
+    if max(len(seq) for _, seq, _ in frame_paths) <= 2:
+        rng = copy.copy(rng)
     want, _ = reference_unicast_frame(frame_paths, rng)
     sends = tuple(Send(s.round + start, s.u, s.v, s.message_id) for s in want.sends)
     load = Counter(norm_edge(a, b) for _, seq, _ in frame_paths for a, b in zip(seq, seq[1:]))
