@@ -106,19 +106,25 @@ def _write(text: str, output: str) -> None:
     if output == "-":
         click.echo(text, nl=False)
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"cannot write {output}: {exc}")
 
 
 class _Main(click.Group):
     """Usage errors (bad or missing options, arguments, commands or input
-    files) end like any invalid input, in one `error:` line and exit 1."""
+    files) and parameters the library refuses end like any invalid input, in
+    one `error:` line and exit 1."""
 
     def main(self, *args, **kwargs):
         try:
             return super().main(*args, **kwargs, standalone_mode=False)
         except click.ClickException as exc:
             _fail(exc.format_message())
+        except (ValueError, SeedSearchError) as exc:
+            _fail(str(exc))
         except click.Abort:
             _fail("aborted")
 
@@ -141,11 +147,7 @@ def gen():
 @click.option("-o", "--output", type=click.Path(), default="-")
 def gen_random(node_count, trees, depth, seed, output):
     """Random connected graph with random multicast trees."""
-    try:
-        instance = gen_random_instance(node_count, trees, depth, seed)
-    except ValueError as exc:
-        _fail(str(exc))
-    _emit_instance(instance, output)
+    _emit_instance(gen_random_instance(node_count, trees, depth, seed), output)
 
 
 @gen.command("layered")
@@ -157,11 +159,7 @@ def gen_random(node_count, trees, depth, seed, output):
 @click.option("-o", "--output", type=click.Path(), default="-")
 def gen_layered(node_count, congestion, depth, prefix_cap, seed, output):
     """Instance hitting exact congestion and dilation targets."""
-    try:
-        instance = gen_layered_instance(node_count, congestion, depth, seed, prefix_cap)
-    except ValueError as exc:
-        _fail(str(exc))
-    _emit_instance(instance, output)
+    _emit_instance(gen_layered_instance(node_count, congestion, depth, seed, prefix_cap), output)
 
 
 @gen.command("lowerbound")
@@ -171,10 +169,7 @@ def gen_layered(node_count, congestion, depth, prefix_cap, seed, output):
 @click.option("-o", "--output", type=click.Path(), default="-")
 def gen_lowerbound(congestion, depth, bit_cap, output):
     """Hard instance from the recursive lower-bound construction."""
-    try:
-        lb = build_lowerbound(congestion, depth, bit_cap)
-    except ValueError as exc:
-        _fail(str(exc))
+    lb = build_lowerbound(congestion, depth, bit_cap)
     click.echo(
         f"predicted_edges={predicted_edge_count(congestion, depth)} "
         f"built_edges={len(lb.instance.graph.edges)}",
@@ -212,12 +207,7 @@ def _emit_instance(instance, output):
 def cmd_schedule(instance_file, scheduler, seed, ell, budget, output):
     """Run a scheduler and write the validated schedule as JSON."""
     instance = _load_instance(instance_file)
-    try:
-        run = run_scheduler(instance, scheduler, seed, ell=ell, budget=budget)
-    except (ValueError, SeedSearchError) as exc:
-        _fail(str(exc))
-    except OverflowError:  # a schedule keeps its sends as 64-bit integer columns
-        _fail("node and message ids must be below 2**63 to schedule")
+    run = run_scheduler(instance, scheduler, seed, ell=ell, budget=budget)
     sched = run.schedule
     report = simulate(instance, sched)
     if not report.valid:
@@ -281,8 +271,6 @@ def cmd_decompose(instance_file, tree_id, kind, ell):
     else:
         if ell is None:
             ell = log2_ceil(instance.graph.node_count)
-        if ell < 1:
-            _fail("--ell must be >= 1")
         dec = short_decomposition(tree, ell)  # the chunks the frames scheduler uses
         report = verify_short(dec, tree, ell, log2_ceil(instance.graph.node_count) + 1)
         click.echo(
@@ -304,12 +292,7 @@ def cmd_congest_sim(instance_file, seed, epsilon, bit_factor, multicast, depths_
     """Run the distributed decomposition (and optionally multicast) in CONGEST."""
     instance = _load_instance(instance_file)
     budget = CongestNetwork(instance.graph, bit_factor).bits_per_edge_per_round
-    try:
-        dist = distributed_rank_decomposition(
-            instance, epsilon, seed, bit_factor
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    dist = distributed_rank_decomposition(instance, epsilon, seed, bit_factor)
     audit = message_size_audit(dist.transcripts, budget)
     node_steps = sum(tr.steps for tr in dist.transcripts)
     click.echo(
@@ -342,10 +325,7 @@ def cmd_congest_sim(instance_file, seed, epsilon, bit_factor, multicast, depths_
 @click.option("--bit-cap", type=int, default=64, show_default=True)
 def cmd_check_lemmas(congestion, depth, bit_cap):
     """Build a lower-bound instance and verify its structural lemmas."""
-    try:
-        lb = build_lowerbound(congestion, depth, bit_cap)
-    except ValueError as exc:
-        _fail(str(exc))
+    lb = build_lowerbound(congestion, depth, bit_cap)
     report = check_lemmas(lb, congestion, depth)
     predicted = predicted_edge_count(congestion, depth)
     built = len(lb.instance.graph.edges)
@@ -368,10 +348,7 @@ def cmd_check_lemmas(congestion, depth, bit_cap):
 def cmd_opt(instance_file, horizon):
     """Exhaustive optimum for toy instances (<= 12 edges, <= 6 messages)."""
     instance = _load_instance(instance_file)
-    try:
-        best = exhaustive_opt(instance, horizon)
-    except ValueError as exc:
-        _fail(str(exc))
+    best = exhaustive_opt(instance, horizon)
     if best is None:
         click.echo(f"no schedule within horizon {horizon}")
         sys.exit(1)

@@ -350,6 +350,20 @@ _INSTANCE = {"n": ("an integer", REQUIRED), "edges": ("a list", REQUIRED),
 _TREE = {"id": ("an integer", REQUIRED), "root": ("an integer", REQUIRED),
          "msg": ("an integer", None), "parent": ("an object", REQUIRED)}
 _NODE_KEY = re.compile(r"0|-?[1-9][0-9]*")  # str(c) of an int c
+INT64 = range(-(2**63), 2**63)  # the ids a schedule's integer columns hold
+
+
+def _outside_64_bits(ends: list[int], trees: list[MulticastTree]) -> ValueError:
+    """The error naming the first id outside `INT64`: edge ends first, then
+    each tree's id, root, message and parent map, trees in file order."""
+    for i, v in enumerate(ends):
+        if v not in INT64:
+            return ValueError(f"edge {i // 2}: endpoint is outside the 64-bit range")
+    for t in trees:
+        for key, ids in (("id", [t.tree_id]), ("root", [t.root]), ("msg", [t.message_id]),
+                         ("parent", chain.from_iterable(t.parent.items()))):
+            if any(v not in INT64 for v in ids):
+                return ValueError(f"tree {t.tree_id}: {key!r} is outside the 64-bit range")
 
 
 def instance_from_json(text: str) -> MulticastInstance:
@@ -357,7 +371,9 @@ def instance_from_json(text: str) -> MulticastInstance:
     tree's message defaults to its id), and bulk passes check that each edge
     is a pair of int nodes and each parent map maps decimal keys to ints.
     Checked node ids are interned by first occurrence, in no table sized by
-    `n`: each edge end, root, parent key and value is one int per node."""
+    `n`: each edge end, root, parent key and value is one int per node. A
+    min and a max over them, the tree ids and the message ids refuse any id
+    outside the 64-bit range, so that every later layer can store it."""
     n, edges, raw_trees = read_object(json.loads(text), "", _INSTANCE)
     if n < 1:
         raise ValueError(f"n must be >= 1, not {n}")
@@ -367,7 +383,6 @@ def instance_from_json(text: str) -> MulticastInstance:
     check_kind("edge endpoint", "an integer", ends)
     node: dict[int, int] = {}  # node id -> its one int object
     ends = list(map(node.setdefault, ends, ends))
-    graph = Graph.build(n, zip(ends[::2], ends[1::2]))
     check_kind("tree", "an object", raw_trees)
     ids = [t["id"] for t in raw_trees]  # a tree's id names it in its messages
     check_kind("tree id", "an integer", ids)
@@ -381,7 +396,10 @@ def instance_from_json(text: str) -> MulticastInstance:
         parent = dict(zip(map(node.setdefault, keys, keys), map(node.setdefault, values, values)))
         root = node.setdefault(root, root)
         trees.append(MulticastTree(tid, root, parent, tid if msg is None else msg))
-    return MulticastInstance.build(graph, trees)
+    bounds = (min(node, default=0), max(node, default=0), *ids, *(t.message_id for t in trees))
+    if not (min(bounds) in INT64 and max(bounds) in INT64):
+        raise _outside_64_bits(ends, trees)
+    return MulticastInstance.build(Graph.build(n, zip(ends[::2], ends[1::2])), trees)
 
 
 def log2_ceil(n: int) -> int:

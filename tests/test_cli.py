@@ -11,6 +11,7 @@ import mcastsched.congest as congest_module
 import mcastsched.schedulers as schedulers_module
 from mcastsched import (
     SCHEDULERS,
+    Schedule,
     build_short_decompositions,
     compute_metrics,
     decomposition_to_json,
@@ -324,15 +325,84 @@ def test_non_integer_instance_field_exits_one(runner, tmp_path, edit, message):
     _assert_clean_error(res, "cannot read instance", message)
 
 
-@pytest.mark.parametrize("scheduler", ["greedy", "frames"])
-def test_schedule_of_message_id_beyond_64_bits_exits_one(runner, tmp_path, scheduler):
-    """The instance is valid, but a schedule keeps 64-bit integers."""
-    doc = json.loads(instance_to_json(shared_edge_instance()))
-    doc["trees"][1]["msg"] = 2**63
-    inst_file = tmp_path / "big.json"
-    inst_file.write_text(json.dumps(doc))
-    res = runner.invoke(main, ["schedule", str(inst_file), "--scheduler", scheduler])
-    _assert_clean_error(res, "ids must be below 2**63")
+BEYOND_64_BITS = [  # an edit of the shared-edge instance and the error it reads as
+    (lambda doc: doc["trees"][1].update(msg=2**63), "tree 1: 'msg' is outside the 64-bit range"),
+    (lambda doc: doc["trees"][1].update(id=2**64),
+     f"tree {2**64}: 'id' is outside the 64-bit range"),
+    (lambda doc: (doc.update(n=2**63 + 1), doc["edges"].append([1, 2**63]),
+                  doc["trees"][1]["parent"].update({str(2**63): 1})),
+     "edge 1: endpoint is outside the 64-bit range"),
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["schedule", "--scheduler", "greedy"], ["schedule", "--scheduler", "frames"],
+     ["congest-sim", "--multicast"], ["congest-sim", "--multicast", "--depths-known"],
+     ["decompose", "--tree", "0"]],
+    ids=["greedy", "frames", "congest-multicast", "congest-depths-known", "decompose"],
+)
+def test_schedule_of_message_id_beyond_64_bits_exits_one(runner, tmp_path, command):
+    """A schedule keeps 64-bit integers, so reading an instance refuses a
+    tree id, message id or node id outside that range."""
+    for edit, needle in BEYOND_64_BITS:
+        doc = json.loads(instance_to_json(shared_edge_instance()))
+        edit(doc)
+        inst_file = tmp_path / "big.json"
+        inst_file.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command[0], str(inst_file), *command[1:]])
+        _assert_clean_error(res, f"error: cannot read instance {inst_file}: {needle}")
+        assert len(res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["gen", "schedule", "bench"])
+def test_unwritable_output_exits_one(runner, tmp_path, command, target):
+    inst_file, suite_file = tmp_path / "inst.json", tmp_path / "suite.json"
+    write_shared_edge(inst_file)
+    suite_file.write_text(json.dumps(GOOD_FILES["suite"]))
+    out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path / "dir"
+    if target == "directory":
+        out.mkdir()
+    args = {
+        "gen": ["gen", "random", "--n", "10", "--trees", "2", "--depth", "2"],
+        "schedule": ["schedule", str(inst_file)],
+        "bench": ["bench", "--suite", str(suite_file)],
+    }[command]
+    res = runner.invoke(main, [*args, "-o", str(out)])
+    _assert_clean_error(res, f"error: cannot write {out}: ")
+    assert res.stderr.count("error:") == 1
+    if target == "directory":
+        assert not any(out.iterdir())
+    else:
+        assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("fault", [AssertionError, KeyError])
+def test_program_fault_is_not_read_as_refused_input(runner, tmp_path, monkeypatch, fault):
+    """Only refused parameters become an `error:` line; a fault in the program
+    escapes as itself."""
+    inst_file = tmp_path / "inst.json"
+    write_shared_edge(inst_file)
+
+    def broken(*args, **kwargs):
+        raise fault("broken scheduler")
+
+    monkeypatch.setattr(cli_module, "run_scheduler", broken)
+    res = runner.invoke(main, ["schedule", str(inst_file)])
+    assert type(res.exception) is fault
+
+
+def test_scheduler_with_invalid_schedule_exits_two(runner, tmp_path, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    write_shared_edge(inst_file)
+    monkeypatch.setattr(
+        cli_module, "run_scheduler", lambda *args, **kwargs: schedulers_module.Run(Schedule((), 0))
+    )
+    res = runner.invoke(main, ["schedule", str(inst_file), "-o", str(tmp_path / "out")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("internal error: schedule failed validation")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "markov-check"])

@@ -232,6 +232,37 @@ def test_instance_json_shape():
         assert set(t) == {"id", "root", "parent", "msg"}
 
 
+PLACES = {  # where an id goes in a one-edge instance, and how a refusal names it
+    "edge": (lambda doc, v: doc["edges"].append([1, v]), "edge 1: endpoint"),
+    "root": (lambda doc, v: doc["trees"][0].update(root=v), "tree 0: 'root'"),
+    "id": (lambda doc, v: doc["trees"][0].update(id=v), "tree {}: 'id'"),
+    "msg": (lambda doc, v: doc["trees"][0].update(msg=v), "tree 0: 'msg'"),
+    "parent-key": (lambda doc, v: doc["trees"][0]["parent"].update({str(v): 0}),
+                   "tree 0: 'parent'"),
+    "parent-value": (lambda doc, v: doc["trees"][0]["parent"].update({"1": v}),
+                     "tree 0: 'parent'"),
+}
+
+
+@pytest.mark.parametrize("place", PLACES)
+def test_instance_reader_refuses_ids_beyond_64_bits(place):
+    """Every id must fit a schedule's 64-bit columns; `n` alone may exceed them."""
+    edit, name = PLACES[place]
+    for v, refused in [(2**63 - 1, False), (-(2**63), False), (2**63, True),
+                       (-(2**63) - 1, True), (10**400, True)]:
+        if place == "edge" and v == -(2**63):  # in range, but no node of the graph
+            continue
+        doc = {"n": 2**64, "edges": [[0, 1]],
+               "trees": [{"id": 0, "root": 0, "msg": 0, "parent": {"1": 0}}]}
+        edit(doc, v)
+        if refused:
+            with pytest.raises(ValueError) as exc:
+                instance_from_json(json.dumps(doc))
+            assert str(exc.value) == name.format(v) + " is outside the 64-bit range"
+        else:
+            instance_from_json(json.dumps(doc))
+
+
 def reference_metrics(instance: MulticastInstance) -> InstanceMetrics:
     """`compute_metrics` as it was before the result was cached."""
     counts: Counter = Counter()
